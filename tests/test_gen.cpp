@@ -2,7 +2,10 @@
 // traffic determinism, size-tier invariants, strict SYMBAD_GEN_* knob
 // parsing, campaign worker-count invariance over generated platforms,
 // explorer integration, query schedules for the media pipeline, and the
-// committed seed corpus (tests/corpus/manifest.txt golden digests).
+// committed seed corpus (tests/corpus/manifest.txt golden digests: the
+// generator rows, plus evaluator rows pinning SAT-sweep merges, semantic
+// lint const nets and simulator traces over the corpus and the case-study
+// RTL blocks).
 
 #include <gtest/gtest.h>
 
@@ -12,9 +15,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/face_system.hpp"
+#include "app/rtl_blocks.hpp"
 #include "core/analytic.hpp"
 #include "core/env.hpp"
 #include "core/explorer.hpp"
@@ -23,14 +28,20 @@
 #include "gen/gen.hpp"
 #include "gen/runtime.hpp"
 #include "gen/traffic.hpp"
+#include "lint/lint.hpp"
 #include "media/database.hpp"
+#include "opt/sweep.hpp"
+#include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
 
 namespace app = symbad::app;
 namespace core = symbad::core;
 namespace exec = symbad::exec;
 namespace gen = symbad::gen;
+namespace lint = symbad::lint;
 namespace media = symbad::media;
+namespace opt = symbad::opt;
+namespace rtl = symbad::rtl;
 namespace sim = symbad::sim;
 namespace verif = symbad::verif;
 namespace stage = symbad::media::stage;
@@ -476,6 +487,7 @@ namespace {
 
 constexpr const char* kManifestPath = SYMBAD_GEN_CORPUS_DIR "/manifest.txt";
 constexpr int kCorpusSeedsPerTier = 4;
+constexpr const char* kEvalRowTag = "eval";
 
 std::string render_manifest() {
   // Format (one design point per line, fixed field order — the corpus
@@ -496,6 +508,110 @@ std::string render_manifest() {
   return out.str();
 }
 
+/// FNV-1a over 64-bit values: the evaluator rows' digest.
+struct Fnv {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void u64(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) u64(static_cast<unsigned char>(c));
+  }
+};
+
+/// 64 cycles of seeded random stimulus; the digest covers every output at
+/// every cycle. With `faulty`, `fault_net` is stuck at `stuck_to`; a design
+/// without such a net (fault_net < 0) reports "-".
+std::string sim_trace_digest(const rtl::Netlist& n, bool faulty, rtl::Net fault_net = -1,
+                             bool stuck_to = false) {
+  if (faulty && fault_net < 0) return "-";
+  rtl::Simulator sim{n};
+  if (faulty) sim.inject_stuck_at(fault_net, stuck_to);
+  verif::Rng stimulus{0x51A75EEDULL};
+  Fnv d;
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    for (const rtl::Net in : n.inputs()) sim.set_input(in, (stimulus.next() & 1) != 0);
+    sim.eval();
+    for (const auto& [name, net] : n.outputs()) d.u64(sim.value(net) ? 1 : 0);
+    sim.step();
+  }
+  std::ostringstream out;
+  out << std::hex << d.h;
+  return out.str();
+}
+
+/// One evaluator row: what the netlist walkers compute over `n`, pinned so
+/// an evaluator rewrite cannot move it. Fields: SAT-sweep merge digest and
+/// candidates/proved/refuted; semantic-lint const-net digest and SAT
+/// proofs; simulator output traces fault-free, with the middle flip-flop
+/// stuck at 1 and with the middle input stuck at 0.
+std::string render_eval_row(const std::string& design, const rtl::Netlist& n) {
+  opt::SatSweeper sweeper{n};
+  Fnv merges;
+  for (const auto& m : sweeper.find_merges()) {
+    merges.u64(static_cast<std::uint64_t>(m.net));
+    merges.u64(static_cast<std::uint64_t>(m.onto));
+    merges.u64(m.complement ? 1 : 0);
+  }
+  const auto& st = sweeper.stats();
+
+  lint::Options lo;
+  lo.semantic = true;
+  const auto report = lint::Linter{lo}.analyze(n);
+  Fnv consts;
+  for (const auto& f : report.findings) {
+    if (f.rule != lint::Rule::const_net) continue;
+    consts.str(f.object);
+    consts.str(f.detail);
+  }
+
+  const auto middle = [](const std::vector<rtl::Net>& nets) {
+    return nets.empty() ? rtl::Net{-1} : nets[nets.size() / 2];
+  };
+  std::ostringstream out;
+  out << kEvalRowTag << ' ' << design << std::hex << " sweep=" << merges.h << std::dec
+      << '/' << st.candidates << '/' << st.proved << '/' << st.refuted << std::hex
+      << " lint=" << consts.h << std::dec << '/' << report.count(lint::Rule::const_net)
+      << '/' << report.sat_proofs << " sim=" << sim_trace_digest(n, false) << '/'
+      << sim_trace_digest(n, true, middle(n.flip_flops()), true) << '/'
+      << sim_trace_digest(n, true, middle(n.inputs()), false) << '\n';
+  return out.str();
+}
+
+std::string render_eval_rows() {
+  const gen::SweepConfig cfg;
+  std::string rows;
+  for (const auto tier : kAllTiers) {
+    for (int i = 0; i < kCorpusSeedsPerTier; ++i) {
+      const auto seed = cfg.seed_at(i);
+      rows += render_eval_row(
+          "gen:" + std::to_string(static_cast<int>(tier)) + ":" + std::to_string(seed),
+          gen::generate_netlist(seed, tier));
+    }
+  }
+  rows += render_eval_row("root", app::build_root_rtl());
+  rows += render_eval_row("wrapper", app::build_wrapper_fsm());
+  rows += render_eval_row("distance", app::build_distance_rtl());
+  return rows;
+}
+
+/// The committed manifest split into generator rows and evaluator rows.
+std::pair<std::string, std::string> read_manifest() {
+  std::ifstream in{kManifestPath};
+  EXPECT_TRUE(in.good()) << "missing " << kManifestPath
+                         << " — run test_gen with SYMBAD_GEN_CORPUS_WRITE=1 to record";
+  std::string generator;
+  std::string evaluator;
+  for (std::string line; std::getline(in, line);) {
+    (line.starts_with(kEvalRowTag) ? evaluator : generator) += line + '\n';
+  }
+  return {generator, evaluator};
+}
+
 }  // namespace
 
 TEST(GenCorpus, ManifestMatchesRegeneratedDigests) {
@@ -503,18 +619,23 @@ TEST(GenCorpus, ManifestMatchesRegeneratedDigests) {
   if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
     std::ofstream out{kManifestPath, std::ios::trunc};
     ASSERT_TRUE(out.good()) << "cannot write " << kManifestPath;
-    out << fresh;
+    out << fresh << render_eval_rows();
     ASSERT_TRUE(out.good());
     SUCCEED() << "corpus manifest re-recorded";
     return;
   }
-  std::ifstream in{kManifestPath};
-  ASSERT_TRUE(in.good()) << "missing " << kManifestPath
-                         << " — run test_gen with SYMBAD_GEN_CORPUS_WRITE=1 to record";
-  std::ostringstream committed;
-  committed << in.rdbuf();
-  EXPECT_EQ(committed.str(), fresh)
+  EXPECT_EQ(read_manifest().first, fresh)
       << "generator drift: the recipe no longer reproduces tests/corpus/"
          "manifest.txt. If the change is intentional, re-record with "
          "SYMBAD_GEN_CORPUS_WRITE=1 ./test_gen and commit the new manifest.";
+}
+
+TEST(GenCorpus, EvaluatorRowsMatchManifest) {
+  if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
+    GTEST_SKIP() << "recording run: ManifestMatchesRegeneratedDigests writes the rows";
+  }
+  EXPECT_EQ(read_manifest().second, render_eval_rows())
+      << "evaluator drift: SAT-sweep merges, semantic-lint const nets or "
+         "simulator traces over the corpus moved. These are pinned — a change "
+         "to how netlists are evaluated must leave them bit-identical.";
 }
