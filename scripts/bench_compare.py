@@ -27,11 +27,14 @@ Two kinds of gates:
     gating).
 
 Missing/new benchmarks are reported but are not failures — renames and
-added workloads should not break CI.
+added workloads should not break CI. A non-finite or denormal time or
+counter in either file always fails: it is a corrupted measurement, and
+gating against it would compare garbage.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -40,6 +43,19 @@ def load(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
     return data.get("benchmarks", {})
+
+
+def bad_values(label: str, benchmarks: dict) -> list:
+    """(where, value) for every non-finite or denormal time/counter."""
+    bad = []
+    for name, entry in sorted(benchmarks.items()):
+        values = {"real_time": entry.get("real_time", 0.0),
+                  "cpu_time": entry.get("cpu_time", 0.0),
+                  **entry.get("counters", {})}
+        for key, value in values.items():
+            if not math.isfinite(value) or 0 < abs(value) < sys.float_info.min:
+                bad.append((f"{label} {name}:{key}", value))
+    return bad
 
 
 def main() -> int:
@@ -75,6 +91,11 @@ def main() -> int:
     baseline = load(args.baseline)
     candidate = load(args.candidate)
     counter_re = re.compile(args.counter_pattern)
+
+    corrupted = (bad_values("baseline", baseline) +
+                 bad_values("candidate", candidate))
+    for where, value in corrupted:
+        print(f"  [BADVALUE] {where} = {value!r}")
 
     time_regressions = []
     counter_regressions = []
@@ -125,8 +146,9 @@ def main() -> int:
           f"{len(time_regressions)} real_time regression(s) beyond "
           f"{args.threshold * 100:.0f}% ({args.time_mode} mode), "
           f"{len(counter_regressions)} counter regression(s), "
-          f"{len(improvements)} improvement(s)")
-    if counter_regressions:
+          f"{len(improvements)} improvement(s), "
+          f"{len(corrupted)} non-finite/denormal value(s)")
+    if counter_regressions or corrupted:
         return 1
     if time_regressions and args.time_mode == "fail":
         return 1

@@ -23,35 +23,6 @@ using rtl::Net;
   return static_cast<std::size_t>(k) < rtl::kGateKindCount;
 }
 
-[[nodiscard]] bool is_comb(GateKind k) noexcept {
-  switch (k) {
-    case GateKind::and_gate:
-    case GateKind::or_gate:
-    case GateKind::xor_gate:
-    case GateKind::not_gate:
-    case GateKind::mux:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Operand slots a kind reads: bit 0 = a, bit 1 = b, bit 2 = c.
-[[nodiscard]] unsigned used_slots(GateKind k) noexcept {
-  switch (k) {
-    case GateKind::const0:
-    case GateKind::const1:
-    case GateKind::input: return 0u;
-    case GateKind::not_gate:
-    case GateKind::dff: return 0b001u;
-    case GateKind::and_gate:
-    case GateKind::or_gate:
-    case GateKind::xor_gate: return 0b011u;
-    case GateKind::mux: return 0b111u;
-  }
-  return 0u;
-}
-
 [[nodiscard]] std::string net_str(Net n) { return "net " + std::to_string(n); }
 
 // --------------------------------------------------- const-net proving
@@ -81,22 +52,11 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
   std::vector<std::uint64_t> sig(count, 0);
   std::vector<signed char> cand(count, -2);  // -2 unseen, -1 refuted, 0/1 value
   for (int r = 0; r < rounds; ++r) {
+    // Inputs and flip-flops are free variables: one draw each, gate order.
     for (std::size_t i = 0; i < count; ++i) {
-      const Gate& g = n.gate(static_cast<Net>(i));
-      switch (g.kind) {
-        case GateKind::const0: sig[i] = 0; break;
-        case GateKind::const1: sig[i] = ~0ull; break;
-        case GateKind::input:
-        case GateKind::dff: sig[i] = rng.next(); break;  // free variables
-        case GateKind::and_gate: sig[i] = sig[g.a] & sig[g.b]; break;
-        case GateKind::or_gate: sig[i] = sig[g.a] | sig[g.b]; break;
-        case GateKind::xor_gate: sig[i] = sig[g.a] ^ sig[g.b]; break;
-        case GateKind::not_gate: sig[i] = ~sig[g.a]; break;
-        case GateKind::mux:
-          sig[i] = (sig[g.a] & sig[g.b]) | (~sig[g.a] & sig[g.c]);
-          break;
-      }
+      if (rtl::is_source(n.gate(static_cast<Net>(i)).kind)) sig[i] = rng.next();
     }
+    rtl::evaluate(n, sig);
     for (std::size_t i = 0; i < count; ++i) {
       const signed char v = sig[i] == 0 ? 0 : sig[i] == ~0ull ? 1 : -1;
       if (cand[i] == -2) {
@@ -120,7 +80,7 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
     const GateKind k = n.gate(static_cast<Net>(i)).kind;
     // Constants are constant by kind (not a discovery), and input/dff
     // literals are free variables — never provably constant.
-    if (!is_comb(k)) continue;
+    if (!rtl::is_combinational(k)) continue;
     ++out.candidates;
     if (max_proofs != 0 && out.proofs >= max_proofs) continue;
     const sat::Lit l = frame.lit(static_cast<Net>(i));
@@ -294,13 +254,13 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
                " outside the GateKind enum");
       continue;  // nothing else about this gate is interpretable
     }
-    const unsigned used = used_slots(g.kind);
+    const unsigned arity = rtl::kind_info(g.kind).arity;
     const std::array<std::pair<char, Net>, 3> slots{
         {{'a', g.a}, {'b', g.b}, {'c', g.c}}};
     for (unsigned s = 0; s < 3; ++s) {
       const auto [slot_name, operand] = slots[s];
       const std::string slot{1, slot_name};
-      if ((used & (1u << s)) == 0) {
+      if (s >= arity) {
         if (operand != -1) {
           emit(Rule::operand_arity, net_str(i),
                std::string{rtl::to_string(g.kind)} + " sets unused operand " + slot +
@@ -325,7 +285,7 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
       }
       // Declaration order is the IR's evaluability contract: combinational
       // logic must be computable in a single forward pass.
-      if (is_comb(g.kind) && operand >= i) {
+      if (rtl::is_combinational(g.kind) && operand >= i) {
         emit(Rule::forward_ref, net_str(i),
              std::string{rtl::to_string(g.kind)} + " operand " + slot + " = " +
                  std::to_string(operand) + " declared at or after its reader");
@@ -384,11 +344,11 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
         const std::size_t ni = static_cast<std::size_t>(node);
         if (slot == 0) color[ni] = 1;
         const Gate& g = v.gates[ni];
-        const unsigned used =
-            kind_in_range(g.kind) && is_comb(g.kind) ? used_slots(g.kind) : 0u;
+        const unsigned arity = kind_in_range(g.kind) && rtl::is_combinational(g.kind)
+                                   ? rtl::kind_info(g.kind).arity
+                                   : 0u;
         bool descended = false;
-        for (unsigned s = slot; s < 3; ++s) {
-          if ((used & (1u << s)) == 0) continue;
+        for (unsigned s = slot; s < arity; ++s) {
           const Net op = s == 0 ? g.a : s == 1 ? g.b : g.c;
           if (!in_range(op)) continue;
           const std::size_t oi = static_cast<std::size_t>(op);
@@ -427,20 +387,14 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
     while (!work.empty()) {
       const Gate& g = v.gates[static_cast<std::size_t>(work.back())];
       work.pop_back();
-      if (!kind_in_range(g.kind)) continue;
-      const unsigned used = used_slots(g.kind);
-      if (used & 1u) mark(g.a);
-      if (used & 2u) mark(g.b);
-      if (used & 4u) mark(g.c);
+      if (kind_in_range(g.kind)) rtl::for_each_operand(g, mark);
     }
     std::size_t dangling = 0;
     Net first = -1;
     for (Net i = 0; i < count; ++i) {
       const GateKind k = v.gates[static_cast<std::size_t>(i)].kind;
-      if (!kind_in_range(k) || k == GateKind::input || k == GateKind::const0 ||
-          k == GateKind::const1) {
-        continue;
-      }
+      // Logic = every kind but constants and inputs, the fault-site set.
+      if (!kind_in_range(k) || !rtl::is_fault_site(k)) continue;
       if (cone[static_cast<std::size_t>(i)] == 0) {
         if (first < 0) first = i;
         ++dangling;
@@ -493,16 +447,12 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
             }
             continue;
           }
-          const unsigned used = used_slots(g.kind);
-          const auto visit = [&](Net op) {
+          rtl::for_each_operand(g, [&](Net op) {
             if (in_range(op) && seen[static_cast<std::size_t>(op)] == 0) {
               seen[static_cast<std::size_t>(op)] = 1;
               work.push_back(op);
             }
-          };
-          if (used & 1u) visit(g.a);
-          if (used & 2u) visit(g.b);
-          if (used & 4u) visit(g.c);
+          });
         }
       }
       std::vector<std::size_t> frontier;
@@ -583,10 +533,7 @@ void Linter::semantic(const rtl::Netlist& n, LintReport& r) const {
     std::size_t sites = 0;
     Net first = -1;
     for (std::size_t i = 0; i < n.gate_count(); ++i) {
-      const GateKind k = n.gate(static_cast<Net>(i)).kind;
-      if (k == GateKind::const0 || k == GateKind::const1 || k == GateKind::input) {
-        continue;
-      }
+      if (!rtl::is_fault_site(n.gate(static_cast<Net>(i)).kind)) continue;
       std::size_t here = 0;
       if (cone[i] == 0) {
         here = 2;  // both polarities are invisible to every output
@@ -758,10 +705,7 @@ FaultPruner::FaultPruner(const rtl::Netlist& netlist,
     sat_conflicts_ = proof.conflicts;
   }
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    const GateKind k = netlist.gate(static_cast<Net>(i)).kind;
-    if (k == GateKind::const0 || k == GateKind::const1 || k == GateKind::input) {
-      continue;
-    }
+    if (!rtl::is_fault_site(netlist.gate(static_cast<Net>(i)).kind)) continue;
     if (cone_[i] == 0) {
       prunable_ += 2;
     } else if (const_val_[i] >= 0) {

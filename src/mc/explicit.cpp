@@ -9,19 +9,26 @@ namespace symbad::mc {
 
 namespace {
 
+/// 2^inputs, after checking the input count against the enumeration limit
+/// (the shift is only defined once that check passed).
+std::uint64_t input_combinations(const rtl::Netlist& n, const ExplicitOptions& options) {
+  if (options.max_input_bits > 63) {
+    throw std::invalid_argument{"mc explicit: max_input_bits must be <= 63"};
+  }
+  if (static_cast<int>(n.inputs().size()) > options.max_input_bits) {
+    throw std::invalid_argument{
+        "mc explicit: too many primary inputs for exhaustive enumeration"};
+  }
+  return std::uint64_t{1} << n.inputs().size();
+}
+
 struct Exploration {
   const rtl::Netlist& netlist;
   rtl::Simulator sim;
   const std::uint64_t input_combos;
 
   explicit Exploration(const rtl::Netlist& n, const ExplicitOptions& options)
-      : netlist{n},
-        sim{n},
-        input_combos{std::uint64_t{1} << n.inputs().size()} {
-    if (static_cast<int>(n.inputs().size()) > options.max_input_bits) {
-      throw std::invalid_argument{
-          "mc explicit: too many primary inputs for exhaustive enumeration"};
-    }
+      : netlist{n}, sim{n}, input_combos{input_combinations(n, options)} {
     if (n.flip_flops().size() > 64) {
       throw std::invalid_argument{"mc explicit: > 64 flip-flops"};
     }

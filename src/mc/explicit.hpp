@@ -23,7 +23,7 @@ struct ExplicitResult {
 
 struct ExplicitOptions {
   std::uint64_t max_states = 1u << 20;
-  int max_input_bits = 16;  ///< refuse designs with more inputs than this
+  int max_input_bits = 16;  ///< refuse designs with more inputs than this (<= 63)
 };
 
 /// Exhaustively checks `property` (invariant or next-implication) on the

@@ -56,23 +56,11 @@ public:
     for (std::size_t i = 0; i < built.gate_count(); ++i) {
       const rtl::Net n = static_cast<rtl::Net>(i);
       const rtl::Gate& g = built.gate(n);
-      switch (g.kind) {
-        case rtl::GateKind::const0:
-          if (consts[0] < 0) consts[0] = n;
-          break;
-        case rtl::GateKind::const1:
-          if (consts[1] < 0) consts[1] = n;
-          break;
-        case rtl::GateKind::and_gate:
-        case rtl::GateKind::or_gate:
-        case rtl::GateKind::xor_gate:
-        case rtl::GateKind::not_gate:
-        case rtl::GateKind::mux:
-          hash.emplace(HashKey{static_cast<int>(g.kind), g.a, g.b, g.c}, n);
-          break;
-        case rtl::GateKind::input:
-        case rtl::GateKind::dff:
-          break;
+      if (g.kind == rtl::GateKind::const0 || g.kind == rtl::GateKind::const1) {
+        auto& slot = consts[g.kind == rtl::GateKind::const1 ? 1 : 0];
+        if (slot < 0) slot = n;
+      } else if (rtl::is_combinational(g.kind)) {
+        hash.emplace(HashKey{static_cast<int>(g.kind), g.a, g.b, g.c}, n);
       }
     }
     return hash;

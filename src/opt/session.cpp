@@ -85,21 +85,9 @@ OptimizeResult PreprocessSession::reoptimize(
     const Net net = work.back();
     work.pop_back();
     if (faults.contains(net)) continue;  // a fault site reads nothing
-    const auto operand = [&](Net j) {
+    rtl::for_each_operand(in.gate(net), [&](Net j) {
       if (j >= 0 && base.old_to_new[static_cast<std::size_t>(j)] < 0) require(j);
-    };
-    const Gate& g = in.gate(net);
-    switch (g.kind) {
-      case GateKind::mux: operand(g.c); [[fallthrough]];
-      case GateKind::and_gate:
-      case GateKind::or_gate:
-      case GateKind::xor_gate: operand(g.b); [[fallthrough]];
-      case GateKind::not_gate:
-      case GateKind::dff: operand(g.a); break;
-      case GateKind::input:
-      case GateKind::const0:
-      case GateKind::const1: break;
-    }
+    });
   }
 
   // Delta rebuild over a copy of the baseline: walk the ORIGINAL nets in

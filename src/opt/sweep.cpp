@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
+#include <stdexcept>
 
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
@@ -10,29 +12,11 @@
 
 namespace symbad::opt {
 
-using rtl::Gate;
-using rtl::GateKind;
 using rtl::Net;
-
-namespace {
-
-[[nodiscard]] bool is_comb_gate(GateKind k) {
-  switch (k) {
-    case GateKind::and_gate:
-    case GateKind::or_gate:
-    case GateKind::xor_gate:
-    case GateKind::not_gate:
-    case GateKind::mux:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 SatSweeper::SatSweeper(const rtl::Netlist& netlist, Options options)
     : netlist_{&netlist}, options_{options} {
+  if (options_.rounds < 1) throw std::invalid_argument{"opt: sweep needs rounds >= 1"};
   netlist.validate();
 }
 
@@ -44,56 +28,17 @@ std::vector<SatSweeper::Merge> SatSweeper::find_merges() {
   // ---- random-pattern signatures (64 parallel patterns per word) --------
   // Cut points (inputs, flip-flop outputs) draw one independent Rng stream
   // each, so the signature of every net is a pure function of (netlist,
-  // seed) — independent of evaluation order or platform.
+  // seed) — independent of evaluation order or platform. Round r's words
+  // are sig[r * count, (r + 1) * count), one evaluator pass each.
   std::vector<std::uint64_t> sig(count * rounds, 0);
   verif::Rng base{options_.seed};
-  const auto words = [&](std::size_t i) { return &sig[i * rounds]; };
   for (std::size_t i = 0; i < count; ++i) {
-    const Gate& g = n.gate(static_cast<Net>(i));
-    std::uint64_t* w = words(i);
-    switch (g.kind) {
-      case GateKind::const0:
-        break;  // already zero
-      case GateKind::const1:
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = ~std::uint64_t{0};
-        break;
-      case GateKind::input:
-      case GateKind::dff: {
-        auto stream = base.fork(static_cast<std::uint64_t>(i));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = stream.next();
-        break;
-      }
-      case GateKind::and_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] & b[r];
-        break;
-      }
-      case GateKind::or_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] | b[r];
-        break;
-      }
-      case GateKind::xor_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* b = words(static_cast<std::size_t>(g.b));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = a[r] ^ b[r];
-        break;
-      }
-      case GateKind::not_gate: {
-        const std::uint64_t* a = words(static_cast<std::size_t>(g.a));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = ~a[r];
-        break;
-      }
-      case GateKind::mux: {
-        const std::uint64_t* s = words(static_cast<std::size_t>(g.a));
-        const std::uint64_t* t = words(static_cast<std::size_t>(g.b));
-        const std::uint64_t* e = words(static_cast<std::size_t>(g.c));
-        for (std::size_t r = 0; r < rounds; ++r) w[r] = (s[r] & t[r]) | (~s[r] & e[r]);
-        break;
-      }
-    }
+    if (!rtl::is_source(n.gate(static_cast<Net>(i)).kind)) continue;
+    auto stream = base.fork(static_cast<std::uint64_t>(i));
+    for (std::size_t r = 0; r < rounds; ++r) sig[r * count + i] = stream.next();
+  }
+  for (std::size_t r = 0; r < rounds; ++r) {
+    rtl::evaluate(n, std::span<std::uint64_t>{sig}.subspan(r * count, count));
   }
 
   // ---- candidate classes: equal-or-complement signatures ----------------
@@ -102,9 +47,10 @@ std::vector<SatSweeper::Merge> SatSweeper::find_merges() {
   std::map<std::vector<std::uint64_t>, std::vector<std::pair<Net, bool>>> classes;
   std::vector<std::uint64_t> key(rounds);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t* w = words(i);
-    const bool pol = (w[0] & 1) != 0;
-    for (std::size_t r = 0; r < rounds; ++r) key[r] = pol ? ~w[r] : w[r];
+    const bool pol = (sig[i] & 1) != 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+      key[r] = pol ? ~sig[r * count + i] : sig[r * count + i];
+    }
     classes[key].emplace_back(static_cast<Net>(i), pol);
   }
 
@@ -128,7 +74,7 @@ std::vector<SatSweeper::Merge> SatSweeper::find_merges() {
     const auto [rep, rep_pol] = members.front();
     for (std::size_t k = 1; k < members.size(); ++k) {
       const auto [cand, cand_pol] = members[k];
-      if (!is_comb_gate(n.gate(cand).kind)) continue;
+      if (!rtl::is_combinational(n.gate(cand).kind)) continue;
       const bool complement = cand_pol != rep_pol;
       ++stats_.candidates;
       const sat::Lit a = frame_lit(rep);

@@ -24,7 +24,7 @@ namespace symbad::opt {
 class SatSweeper {
 public:
   struct Options {
-    int rounds = 4;                 ///< 64-pattern signature words per net
+    int rounds = 4;                 ///< 64-pattern signature words per net, >= 1
     std::uint64_t seed = 0x0B715EEDULL;
     std::size_t max_proofs = 0;     ///< cap on SAT calls, 0 = unlimited
   };

@@ -14,15 +14,15 @@ namespace symbad::pcc {
 namespace {
 
 /// Runs random stimulus against the faulty simulator and reports the first
-/// property violated, if any.
-const mc::Property* simulate_detects(const rtl::Netlist& netlist,
+/// property violated, if any. `sim` is the campaign's one simulator over
+/// `netlist`; each run starts it from reset with only this fault injected.
+const mc::Property* simulate_detects(rtl::Simulator& sim, const rtl::Netlist& netlist,
                                      const std::vector<mc::Property>& properties,
                                      rtl::Net fault_net, bool stuck_to,
                                      const PccOptions& options, verif::Rng& rng) {
-  rtl::Simulator sim{netlist};
   for (int run = 0; run < options.simulation_runs; ++run) {
-    sim.reset();
     sim.clear_faults();
+    sim.reset();
     sim.inject_stuck_at(fault_net, stuck_to);
     // Sliding windows for next-implication / bounded-response checks.
     std::vector<bool> prev_p(properties.size(), false);
@@ -78,11 +78,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // Candidate faults: both stuck-at polarities on every internal net.
   std::vector<std::pair<rtl::Net, bool>> faults;
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    const auto kind = netlist.gate(static_cast<rtl::Net>(i)).kind;
-    if (kind == rtl::GateKind::const0 || kind == rtl::GateKind::const1 ||
-        kind == rtl::GateKind::input) {
-      continue;
-    }
+    if (!rtl::is_fault_site(netlist.gate(static_cast<rtl::Net>(i)).kind)) continue;
     faults.emplace_back(static_cast<rtl::Net>(i), false);
     faults.emplace_back(static_cast<rtl::Net>(i), true);
   }
@@ -141,6 +137,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
                    po);
   }
   bool good_design_probed = false;
+  rtl::Simulator sim{netlist};
 
   for (const auto& [net, stuck_to] : faults) {
     FaultOutcome outcome;
@@ -148,7 +145,7 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
     outcome.stuck_to = stuck_to;
 
     if (const mc::Property* by_sim =
-            simulate_detects(netlist, properties, net, stuck_to, options, rng)) {
+            simulate_detects(sim, netlist, properties, net, stuck_to, options, rng)) {
       outcome.detected = true;
       outcome.detected_by = by_sim->name;
       outcome.detected_by_simulation = true;

@@ -7,26 +7,12 @@ ConeTracer::ConeTracer(const Netlist& netlist) : netlist_{&netlist} {
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
     const Gate& g = netlist.gate(static_cast<Net>(i));
     const Net reader = static_cast<Net>(i);
-    switch (g.kind) {
-      case GateKind::not_gate:
-        comb_fanout_[static_cast<std::size_t>(g.a)].push_back(reader);
-        break;
-      case GateKind::and_gate:
-      case GateKind::or_gate:
-      case GateKind::xor_gate:
-        comb_fanout_[static_cast<std::size_t>(g.a)].push_back(reader);
-        comb_fanout_[static_cast<std::size_t>(g.b)].push_back(reader);
-        break;
-      case GateKind::mux:
-        comb_fanout_[static_cast<std::size_t>(g.a)].push_back(reader);
-        comb_fanout_[static_cast<std::size_t>(g.b)].push_back(reader);
-        comb_fanout_[static_cast<std::size_t>(g.c)].push_back(reader);
-        break;
-      case GateKind::dff:
-        dff_edges_.emplace_back(g.a, reader);
-        break;
-      default:
-        break;
+    if (g.kind == GateKind::dff) {
+      dff_edges_.emplace_back(g.a, reader);
+    } else {
+      for_each_operand(g, [&](Net operand) {
+        comb_fanout_[static_cast<std::size_t>(operand)].push_back(reader);
+      });
     }
   }
 }

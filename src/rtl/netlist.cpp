@@ -128,30 +128,12 @@ std::vector<char> Netlist::cone_of_influence(const std::vector<Net>& roots) cons
       frontier.push_back(n);
     }
   };
+  // A flip-flop's operand is its next-state net: crossing the register
+  // boundary keeps the closure valid at every frame.
   while (!frontier.empty()) {
     const Gate& g = gates_[static_cast<std::size_t>(frontier.back())];
     frontier.pop_back();
-    switch (g.kind) {
-      case GateKind::not_gate: visit(g.a); break;
-      case GateKind::and_gate:
-      case GateKind::or_gate:
-      case GateKind::xor_gate:
-        visit(g.a);
-        visit(g.b);
-        break;
-      case GateKind::mux:
-        visit(g.a);
-        visit(g.b);
-        visit(g.c);
-        break;
-      case GateKind::dff:
-        // Crossing the register boundary: the dff's value next frame is its
-        // next-state net this frame, so the closure holds at every frame.
-        visit(g.a);
-        break;
-      default:
-        break;  // inputs and constants have no operands
-    }
+    for_each_operand(g, visit);
   }
   return cone;
 }
@@ -172,59 +154,61 @@ GateHistogram Netlist::gate_histogram() const {
 }
 
 double Netlist::area_estimate() const {
-  // Unit-area weights loosely modelled on standard-cell relative sizes.
   double area = 0.0;
-  for (const auto& g : gates_) {
-    switch (g.kind) {
-      case GateKind::and_gate:
-      case GateKind::or_gate: area += 1.0; break;
-      case GateKind::xor_gate: area += 1.5; break;
-      case GateKind::not_gate: area += 0.5; break;
-      case GateKind::mux: area += 2.0; break;
-      case GateKind::dff: area += 4.0; break;
-      default: break;  // constants and inputs are free
-    }
-  }
+  for (const auto& g : gates_) area += kind_info(g.kind).area;
   return area;
 }
 
 void Netlist::validate() const {
   for (std::size_t i = 0; i < gates_.size(); ++i) {
     const auto& g = gates_[i];
-    auto check = [this, i](Net n, bool allow_any_index) {
+    if (g.kind == GateKind::dff && g.a < 0) {
+      throw std::logic_error{"rtl: flip-flop " + std::to_string(i) +
+                             " has no next-state net"};
+    }
+    // Sequential loops close through flip-flops, so only combinational
+    // operands must be declared earlier.
+    const bool comb = is_combinational(g.kind);
+    for_each_operand(g, [&](Net n) {
       if (n < 0 || static_cast<std::size_t>(n) >= gates_.size()) {
         throw std::logic_error{"rtl: gate " + std::to_string(i) + " has invalid operand"};
       }
-      if (!allow_any_index && static_cast<std::size_t>(n) >= i) {
+      if (comb && static_cast<std::size_t>(n) >= i) {
         throw std::logic_error{"rtl: combinational gate " + std::to_string(i) +
                                " references a later net"};
       }
-    };
+    });
+  }
+}
+
+// ----------------------------------------------------------- evaluator
+
+void evaluate(const Netlist& netlist, std::span<std::uint64_t> words,
+              std::span<const std::uint64_t> keep, std::span<const std::uint64_t> force) {
+  const std::span<const Gate> gates = netlist.gates();
+  if (words.size() != gates.size() || keep.size() != force.size() ||
+      (!force.empty() && force.size() != gates.size())) {
+    throw std::invalid_argument{"rtl: evaluate spans must match the gate count"};
+  }
+  const bool forced = !force.empty();
+  std::uint64_t* const w = words.data();
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const Gate& g = gates[i];
+    const auto op = [w](Net n) { return w[static_cast<std::size_t>(n)]; };
+    std::uint64_t v = 0;
     switch (g.kind) {
-      case GateKind::and_gate:
-      case GateKind::or_gate:
-      case GateKind::xor_gate:
-        check(g.a, false);
-        check(g.b, false);
-        break;
-      case GateKind::not_gate:
-        check(g.a, false);
-        break;
-      case GateKind::mux:
-        check(g.a, false);
-        check(g.b, false);
-        check(g.c, false);
-        break;
-      case GateKind::dff:
-        if (g.a < 0) {
-          throw std::logic_error{"rtl: flip-flop " + std::to_string(i) +
-                                 " has no next-state net"};
-        }
-        check(g.a, true);  // sequential loop allowed
-        break;
-      default:
-        break;
+      case GateKind::const0: v = 0; break;
+      case GateKind::const1: v = ~std::uint64_t{0}; break;
+      case GateKind::input:
+      case GateKind::dff: v = w[i]; break;  // caller-owned source word
+      case GateKind::and_gate: v = op(g.a) & op(g.b); break;
+      case GateKind::or_gate: v = op(g.a) | op(g.b); break;
+      case GateKind::xor_gate: v = op(g.a) ^ op(g.b); break;
+      case GateKind::not_gate: v = ~op(g.a); break;
+      case GateKind::mux: v = (op(g.a) & op(g.b)) | (~op(g.a) & op(g.c)); break;
     }
+    if (forced) v = (v & keep[i]) | force[i];
+    w[i] = v;
   }
 }
 
@@ -233,22 +217,17 @@ void Netlist::validate() const {
 Simulator::Simulator(const Netlist& netlist) : netlist_{&netlist} {
   netlist.validate();
   values_.assign(netlist.gate_count(), 0);
-  fault_.assign(netlist.gate_count(), -1);
-  const auto& dffs = netlist.flip_flops();
-  state_.assign(dffs.size(), 0);
-  for (std::size_t i = 0; i < dffs.size(); ++i) dff_slot_[dffs[i]] = i;
-  const auto& ins = netlist.inputs();
-  input_vals_.assign(ins.size(), 0);
-  for (std::size_t i = 0; i < ins.size(); ++i) input_slot_[ins[i]] = i;
+  sources_.assign(netlist.gate_count(), 0);
+  keep_.assign(netlist.gate_count(), ~std::uint64_t{0});
+  force_.assign(netlist.gate_count(), 0);
   reset();
 }
 
 void Simulator::reset() {
-  const auto& dffs = netlist_->flip_flops();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    state_[i] = netlist_->gate(dffs[i]).init ? 1 : 0;
+  std::fill(sources_.begin(), sources_.end(), 0);
+  for (const Net d : netlist_->flip_flops()) {
+    sources_[static_cast<std::size_t>(d)] = netlist_->gate(d).init ? 1 : 0;
   }
-  std::fill(input_vals_.begin(), input_vals_.end(), 0);
   cycles_ = 0;
   eval();
 }
@@ -258,56 +237,34 @@ void Simulator::set_input(const std::string& name, bool value) {
 }
 
 void Simulator::set_input(Net input_net, bool value) {
-  const auto it = input_slot_.find(input_net);
-  if (it == input_slot_.end()) throw std::invalid_argument{"rtl: not an input net"};
-  input_vals_[it->second] = value ? 1 : 0;
+  if (input_net < 0 || static_cast<std::size_t>(input_net) >= sources_.size() ||
+      netlist_->gate(input_net).kind != GateKind::input) {
+    throw std::invalid_argument{"rtl: not an input net"};
+  }
+  sources_[static_cast<std::size_t>(input_net)] = value ? 1 : 0;
+  dirty_ = true;
 }
 
 void Simulator::eval() {
-  const std::size_t n = netlist_->gate_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Gate& g = netlist_->gate(static_cast<Net>(i));
-    char v = 0;
-    switch (g.kind) {
-      case GateKind::const0: v = 0; break;
-      case GateKind::const1: v = 1; break;
-      case GateKind::input: v = input_vals_[input_slot_.at(static_cast<Net>(i))]; break;
-      case GateKind::and_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] &
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::or_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] |
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::xor_gate:
-        v = static_cast<char>(values_[static_cast<std::size_t>(g.a)] ^
-                              values_[static_cast<std::size_t>(g.b)]);
-        break;
-      case GateKind::not_gate:
-        v = static_cast<char>(1 - values_[static_cast<std::size_t>(g.a)]);
-        break;
-      case GateKind::mux:
-        v = values_[static_cast<std::size_t>(g.a)] != 0
-                ? values_[static_cast<std::size_t>(g.b)]
-                : values_[static_cast<std::size_t>(g.c)];
-        break;
-      case GateKind::dff: v = state_[dff_slot_.at(static_cast<Net>(i))]; break;
-    }
-    if (fault_count_ > 0) {
-      const signed char f = fault_[i];
-      if (f >= 0) v = f;
-    }
-    values_[i] = v;
+  for (const Net in : netlist_->inputs()) {
+    values_[static_cast<std::size_t>(in)] = sources_[static_cast<std::size_t>(in)];
   }
+  for (const Net d : netlist_->flip_flops()) {
+    values_[static_cast<std::size_t>(d)] = sources_[static_cast<std::size_t>(d)];
+  }
+  if (fault_count_ > 0) {
+    evaluate(*netlist_, values_, keep_, force_);
+  } else {
+    evaluate(*netlist_, values_);
+  }
+  dirty_ = false;
 }
 
 void Simulator::step() {
-  eval();
-  const auto& dffs = netlist_->flip_flops();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const Gate& g = netlist_->gate(dffs[i]);
-    state_[i] = values_[static_cast<std::size_t>(g.a)];
+  if (dirty_) eval();
+  for (const Net d : netlist_->flip_flops()) {
+    sources_[static_cast<std::size_t>(d)] =
+        values_[static_cast<std::size_t>(netlist_->gate(d).a)] & 1;
   }
   ++cycles_;
   eval();  // outputs reflect the new state
@@ -318,43 +275,55 @@ bool Simulator::output(const std::string& name) const {
 }
 
 void Simulator::inject_stuck_at(Net net, bool value) {
-  if (net < 0 || static_cast<std::size_t>(net) >= fault_.size()) {
+  if (net < 0 || static_cast<std::size_t>(net) >= force_.size()) {
     throw std::out_of_range{"rtl: fault on unknown net"};
   }
-  if (fault_[static_cast<std::size_t>(net)] < 0) ++fault_count_;
-  fault_[static_cast<std::size_t>(net)] = value ? 1 : 0;
+  const auto i = static_cast<std::size_t>(net);
+  if (keep_[i] != 0) ++fault_count_;
+  keep_[i] = 0;
+  force_[i] = value ? ~std::uint64_t{0} : 0;
+  dirty_ = true;
 }
 
 void Simulator::clear_faults() {
-  std::fill(fault_.begin(), fault_.end(), static_cast<signed char>(-1));
+  std::fill(keep_.begin(), keep_.end(), ~std::uint64_t{0});
+  std::fill(force_.begin(), force_.end(), 0);
   fault_count_ = 0;
+  dirty_ = true;
 }
 
 std::uint64_t Simulator::state_bits() const {
-  if (state_.size() > 64) {
+  const auto& dffs = netlist_->flip_flops();
+  if (dffs.size() > 64) {
     throw std::logic_error{"rtl: state_bits requires <= 64 flip-flops"};
   }
   std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    if (state_[i] != 0) bits |= std::uint64_t{1} << i;
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    bits |= (sources_[static_cast<std::size_t>(dffs[i])] & 1) << i;
   }
   return bits;
 }
 
 void Simulator::force_state(std::uint64_t bits) {
-  if (state_.size() > 64) {
+  const auto& dffs = netlist_->flip_flops();
+  if (dffs.size() > 64) {
     throw std::logic_error{"rtl: force_state requires <= 64 flip-flops"};
   }
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    state_[i] = ((bits >> i) & 1) != 0 ? 1 : 0;
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    sources_[static_cast<std::size_t>(dffs[i])] = (bits >> i) & 1;
   }
   eval();
 }
 
 void Simulator::force_inputs(std::uint64_t bits) {
-  for (std::size_t i = 0; i < input_vals_.size(); ++i) {
-    input_vals_[i] = ((bits >> i) & 1) != 0 ? 1 : 0;
+  const auto& ins = netlist_->inputs();
+  if (ins.size() > 64) {
+    throw std::logic_error{"rtl: force_inputs requires <= 64 inputs"};
   }
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    sources_[static_cast<std::size_t>(ins[i])] = (bits >> i) & 1;
+  }
+  dirty_ = true;
 }
 
 }  // namespace symbad::rtl

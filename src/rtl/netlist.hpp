@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,21 +53,6 @@ static_assert(gate_index(GateKind::dff) + 1 == kGateKindCount,
 /// pass) cost no allocation.
 using GateHistogram = std::array<std::size_t, kGateKindCount>;
 
-[[nodiscard]] constexpr const char* to_string(GateKind k) noexcept {
-  switch (k) {
-    case GateKind::const0: return "const0";
-    case GateKind::const1: return "const1";
-    case GateKind::input: return "input";
-    case GateKind::and_gate: return "and";
-    case GateKind::or_gate: return "or";
-    case GateKind::xor_gate: return "xor";
-    case GateKind::not_gate: return "not";
-    case GateKind::mux: return "mux";
-    case GateKind::dff: return "dff";
-  }
-  return "?";
-}
-
 struct Gate {
   GateKind kind = GateKind::const0;
   Net a = -1;  ///< first operand / mux select / dff next-state
@@ -74,6 +60,58 @@ struct Gate {
   Net c = -1;  ///< mux "else"
   bool init = false;  ///< dff reset value
 };
+
+/// What every netlist walker needs to know about a gate kind. The one
+/// operand table: traversals, validation and fault-site enumeration read
+/// it instead of switching over GateKind themselves.
+struct KindInfo {
+  const char* name;
+  unsigned arity;      ///< operand slots read: a, then b, then c
+  bool combinational;  ///< and/or/xor/not/mux: evaluated from operands
+  bool source;         ///< input/dff: its value comes from outside the pass
+  bool fault_site;     ///< carries stuck-at faults (everything but const/input)
+  double area;         ///< unit-area weight, loosely standard-cell sized
+};
+
+inline constexpr std::array<KindInfo, kGateKindCount> kKindInfo{{
+    {"const0", 0, false, false, false, 0.0},
+    {"const1", 0, false, false, false, 0.0},
+    {"input", 0, false, true, false, 0.0},
+    {"and", 2, true, false, true, 1.0},
+    {"or", 2, true, false, true, 1.0},
+    {"xor", 2, true, false, true, 1.5},
+    {"not", 1, true, false, true, 0.5},
+    {"mux", 3, true, false, true, 2.0},
+    // A flip-flop reads its next-state net `a` only at the clock edge.
+    {"dff", 1, false, true, true, 4.0},
+}};
+
+/// Table row of `k`; `k` must be a valid enumerator (see `to_string` for
+/// the guarded lookup).
+[[nodiscard]] constexpr const KindInfo& kind_info(GateKind k) noexcept {
+  return kKindInfo[gate_index(k)];
+}
+[[nodiscard]] constexpr bool is_combinational(GateKind k) noexcept {
+  return kind_info(k).combinational;
+}
+[[nodiscard]] constexpr bool is_source(GateKind k) noexcept { return kind_info(k).source; }
+[[nodiscard]] constexpr bool is_fault_site(GateKind k) noexcept {
+  return kind_info(k).fault_site;
+}
+
+[[nodiscard]] constexpr const char* to_string(GateKind k) noexcept {
+  return gate_index(k) < kGateKindCount ? kind_info(k).name : "?";
+}
+
+/// Calls `visit(net)` for each operand slot `g`'s kind reads, in slot order.
+/// An unconnected flip-flop passes -1.
+template <class Visit>
+constexpr void for_each_operand(const Gate& g, Visit&& visit) {
+  const unsigned arity = kind_info(g.kind).arity;
+  if (arity > 0) visit(g.a);
+  if (arity > 1) visit(g.b);
+  if (arity > 2) visit(g.c);
+}
 
 /// A synchronous gate-level netlist.
 class Netlist {
@@ -106,6 +144,7 @@ public:
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t gate_count() const noexcept { return gates_.size(); }
   [[nodiscard]] const Gate& gate(Net n) const { return gates_.at(static_cast<std::size_t>(n)); }
+  [[nodiscard]] std::span<const Gate> gates() const noexcept { return gates_; }
   [[nodiscard]] const std::vector<Net>& inputs() const noexcept { return inputs_; }
   [[nodiscard]] const std::vector<Net>& flip_flops() const noexcept { return dffs_; }
   [[nodiscard]] const std::map<std::string, Net>& outputs() const noexcept { return outputs_; }
@@ -150,8 +189,21 @@ private:
   std::map<Net, std::string> names_;
 };
 
+/// The netlist evaluator: 64 independent lanes per `uint64_t` word, one
+/// word per net (`words` is indexed like the gates). Declaration order is
+/// topological, so one forward pass suffices. The caller owns the source
+/// words — inputs and flip-flop outputs — and fills them before the call;
+/// the pass writes every constant and combinational word. With force masks
+/// (both spans sized like the gates, or both empty) every net's word,
+/// sources included, becomes `(v & keep[i]) | force[i]` before its readers
+/// see it: keep = 0, force = ~0 is a stuck-at-1 in every lane.
+void evaluate(const Netlist& netlist, std::span<std::uint64_t> words,
+              std::span<const std::uint64_t> keep = {},
+              std::span<const std::uint64_t> force = {});
+
 /// Two-valued cycle-accurate simulator for a Netlist, with stuck-at fault
-/// injection (used by PCC and SAT-ATPG fault grading).
+/// injection (used by PCC and SAT-ATPG fault grading): a one-lane user of
+/// `evaluate`.
 class Simulator {
 public:
   explicit Simulator(const Netlist& netlist);
@@ -162,10 +214,13 @@ public:
   void set_input(Net input_net, bool value);
   /// Evaluates the combinational logic with current inputs/state.
   void eval();
-  /// `eval()` then clocks all flip-flops once.
+  /// `eval()` then clocks all flip-flops once. The pre-clock evaluation is
+  /// skipped when nothing changed since the last `eval()`.
   void step();
 
-  [[nodiscard]] bool value(Net n) const { return values_.at(static_cast<std::size_t>(n)); }
+  [[nodiscard]] bool value(Net n) const {
+    return (values_.at(static_cast<std::size_t>(n)) & 1) != 0;
+  }
   [[nodiscard]] bool output(const std::string& name) const;
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
 
@@ -180,18 +235,18 @@ public:
   /// Overwrites the flip-flop state (and re-evaluates combinational logic).
   void force_state(std::uint64_t bits);
   /// Drives all primary inputs from packed bits (declaration order).
+  /// Requires <= 64 inputs.
   void force_inputs(std::uint64_t bits);
 
 private:
   const Netlist* netlist_;
-  std::vector<char> values_;
-  std::vector<char> state_;        // dff current values (indexed by dff order)
-  std::vector<char> input_vals_;   // indexed by input order
-  std::vector<signed char> fault_; // -1 none, 0/1 stuck value, per net
-  std::map<Net, std::size_t> dff_slot_;
-  std::map<Net, std::size_t> input_slot_;
+  std::vector<std::uint64_t> values_;   // evaluated word per net (lane 0)
+  std::vector<std::uint64_t> sources_;  // input values and dff state, per net
+  std::vector<std::uint64_t> keep_;     // force masks, per net
+  std::vector<std::uint64_t> force_;
   std::uint64_t cycles_ = 0;
   int fault_count_ = 0;
+  bool dirty_ = true;  // sources or faults changed since the last eval()
 };
 
 }  // namespace symbad::rtl

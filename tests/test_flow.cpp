@@ -142,6 +142,42 @@ TEST(ExplicitMc, RefusesWideInputDesigns) {
                std::invalid_argument);
 }
 
+namespace {
+
+/// `inputs` primary inputs feeding nothing but a self-holding register.
+rtl::Netlist wide_input_netlist(int inputs) {
+  rtl::Netlist n{"wide"};
+  for (int i = 0; i < inputs; ++i) (void)n.add_input("i" + std::to_string(i));
+  const auto d = n.add_dff(false, "r");
+  n.connect_next(d, d);
+  n.set_output("q", d);
+  return n;
+}
+
+}  // namespace
+
+TEST(ExplicitMc, MoreThan64InputsThrowBeforeAnyShift) {
+  // 2^70 input combinations is not representable; the input-count check
+  // must run before the combination count is computed (UBSan pins that).
+  const auto n = wide_input_netlist(70);
+  const auto prop = mc::Property::invariant("t", mc::Expr::constant(true));
+  EXPECT_THROW((void)mc::check_explicit(n, prop), std::invalid_argument);
+  EXPECT_THROW((void)mc::count_reachable_states(n), std::invalid_argument);
+  mc::ExplicitOptions options;
+  options.max_input_bits = 1000;
+  EXPECT_THROW((void)mc::check_explicit(n, prop, options), std::invalid_argument);
+}
+
+TEST(ExplicitMc, MaxInputBitsAbove63Rejected) {
+  const auto n = wide_input_netlist(2);
+  const auto prop = mc::Property::invariant("t", mc::Expr::constant(true));
+  mc::ExplicitOptions options;
+  options.max_input_bits = 64;
+  EXPECT_THROW((void)mc::check_explicit(n, prop, options), std::invalid_argument);
+  options.max_input_bits = 63;
+  EXPECT_EQ(mc::check_explicit(n, prop, options).status, mc::CheckStatus::proved);
+}
+
 // ------------------------------------------------------- LPV invariants
 
 TEST(LpvInvariant, ChannelConservationFound) {

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "app/rtl_blocks.hpp"
@@ -288,6 +289,18 @@ TEST(OptSweep, SweeperStatsAreAccounted) {
   EXPECT_LE(stats.proved + stats.refuted, stats.candidates);
   for (const auto& m : merges) {
     EXPECT_LT(m.onto, m.net);  // representative declared first
+  }
+}
+
+TEST(OptSweep, ZeroSignatureRoundsRejected) {
+  // Signatures need at least one word per net; zero rounds once read past
+  // an empty signature array.
+  auto rng = symbad::test::rng("sweeper_rounds");
+  const auto n = random_netlist(rng, 4, 2, 20, 3);
+  for (const int rounds : {0, -1}) {
+    opt::SatSweeper::Options o;
+    o.rounds = rounds;
+    EXPECT_THROW((opt::SatSweeper{n, o}), std::invalid_argument) << rounds;
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "rtl/cnf.hpp"
 #include "rtl/cone.hpp"
@@ -171,6 +173,160 @@ TEST(Simulator, StuckAtFaultOverridesValue) {
   sim.clear_faults();
   sim.eval();
   EXPECT_TRUE(sim.output("y"));
+}
+
+TEST(Simulator, StepEvaluatesInputsSetSinceTheLastEval) {
+  // step() may skip its pre-clock evaluation only when nothing changed:
+  // inputs set without an explicit eval() must still reach the registers.
+  Netlist n;
+  const Net a = n.add_input("a");
+  const Net d = n.add_dff(false, "r");
+  n.connect_next(d, n.add_not(a));
+  n.set_output("q", d);
+  Simulator sim{n};
+  sim.set_input("a", true);
+  sim.step();
+  EXPECT_FALSE(sim.output("q"));
+  sim.set_input("a", false);
+  sim.step();
+  EXPECT_TRUE(sim.output("q"));
+  sim.inject_stuck_at(a, true);
+  sim.step();
+  EXPECT_FALSE(sim.output("q"));
+  sim.clear_faults();
+  sim.step();
+  EXPECT_TRUE(sim.output("q"));
+}
+
+TEST(Simulator, StuckAtOnFlipFlopForcesOutputNotState) {
+  Netlist n;
+  const Net d = n.add_dff(false, "r");
+  n.connect_next(d, n.add_not(d));  // toggles
+  n.set_output("q", d);
+  Simulator sim{n};
+  sim.inject_stuck_at(d, true);
+  sim.eval();
+  EXPECT_TRUE(sim.output("q"));
+  EXPECT_EQ(sim.state_bits(), 0u);  // the register itself still holds reset
+  sim.step();                       // next state reads the forced output
+  EXPECT_EQ(sim.state_bits(), 0u);
+}
+
+TEST(Simulator, SetInputOnNonInputNetThrows) {
+  Netlist n;
+  const Net a = n.add_input("a");
+  const Net g = n.add_not(a);
+  Simulator sim{n};
+  EXPECT_THROW(sim.set_input(g, true), std::invalid_argument);
+  EXPECT_THROW(sim.set_input(-1, true), std::invalid_argument);
+  EXPECT_THROW(sim.set_input(99, true), std::invalid_argument);
+}
+
+TEST(Simulator, PackedInputsAndStateRejectMoreThan64Bits) {
+  Netlist n;
+  for (int i = 0; i < 65; ++i) (void)n.add_input("i" + std::to_string(i));
+  Simulator sim{n};
+  EXPECT_THROW(sim.force_inputs(1), std::logic_error);
+  Netlist regs;
+  for (int i = 0; i < 65; ++i) {
+    const Net d = regs.add_dff(false, "r" + std::to_string(i));
+    regs.connect_next(d, d);
+  }
+  Simulator rsim{regs};
+  EXPECT_THROW(rsim.force_state(1), std::logic_error);
+  EXPECT_THROW((void)rsim.state_bits(), std::logic_error);
+}
+
+// ------------------------------------------------------------- evaluator
+
+TEST(Evaluate, EveryLaneMatchesTheOneLaneSimulator) {
+  // 64 random (input, state) patterns at once, each lane checked against
+  // a Simulator run on that pattern alone — with and without a forced net.
+  Netlist n;
+  const Word a = rtl::make_inputs(n, "a", 4);
+  const Word r = rtl::make_registers(n, "r", 4, 0b1010);
+  const auto [sum, carry] = rtl::add(n, a, r);
+  const Net sel = n.add_mux(carry, a.bit(0), n.add_xor(r.bit(1), a.bit(2)));
+  rtl::connect_registers(n, r, sum);
+  rtl::set_output_word(n, "sum", sum);
+  n.set_output("sel", sel);
+  const Net forced_net = sum.bit(1);
+
+  auto rng = symbad::test::rng(0xE7A1);
+  std::vector<std::uint64_t> words(n.gate_count(), 0);
+  for (std::size_t i = 0; i < n.gate_count(); ++i) {
+    if (rtl::is_source(n.gate(static_cast<Net>(i)).kind)) words[i] = rng.next();
+  }
+  for (const bool with_force : {false, true}) {
+    std::vector<std::uint64_t> w = words;
+    std::vector<std::uint64_t> keep(n.gate_count(), ~std::uint64_t{0});
+    std::vector<std::uint64_t> force(n.gate_count(), 0);
+    keep[static_cast<std::size_t>(forced_net)] = 0;
+    force[static_cast<std::size_t>(forced_net)] = ~std::uint64_t{0};
+    if (with_force) {
+      rtl::evaluate(n, w, keep, force);
+    } else {
+      rtl::evaluate(n, w);
+    }
+    for (unsigned lane = 0; lane < 64; ++lane) {
+      Simulator sim{n};
+      if (with_force) sim.inject_stuck_at(forced_net, true);
+      std::uint64_t state = 0;
+      for (std::size_t k = 0; k < n.flip_flops().size(); ++k) {
+        state |= ((words[static_cast<std::size_t>(n.flip_flops()[k])] >> lane) & 1) << k;
+      }
+      std::uint64_t in = 0;
+      for (std::size_t k = 0; k < n.inputs().size(); ++k) {
+        in |= ((words[static_cast<std::size_t>(n.inputs()[k])] >> lane) & 1) << k;
+      }
+      sim.force_inputs(in);
+      sim.force_state(state);
+      for (std::size_t i = 0; i < n.gate_count(); ++i) {
+        ASSERT_EQ(sim.value(static_cast<Net>(i)), ((w[i] >> lane) & 1) != 0)
+            << "net " << i << " lane " << lane << " force " << with_force;
+      }
+    }
+  }
+}
+
+TEST(Evaluate, MismatchedSpansThrow) {
+  Netlist n;
+  (void)n.add_not(n.add_input("a"));
+  std::vector<std::uint64_t> w(n.gate_count(), 0);
+  std::vector<std::uint64_t> short_words(1, 0);
+  EXPECT_THROW(rtl::evaluate(n, short_words), std::invalid_argument);
+  std::vector<std::uint64_t> keep(n.gate_count(), 0);
+  EXPECT_THROW(rtl::evaluate(n, w, keep, {}), std::invalid_argument);
+}
+
+TEST(Evaluate, OperandTableAgreesWithTheBuilderApi) {
+  // The table's arity is what the builder API wires: every slot a kind
+  // reads is set, every other slot is left at -1.
+  Netlist n;
+  const Net a = n.add_input("a");
+  const Net d = n.add_dff(false, "r");
+  n.connect_next(d, a);
+  (void)n.constant(true);
+  (void)n.constant(false);
+  (void)n.add_and(a, d);
+  (void)n.add_or(a, d);
+  (void)n.add_xor(a, d);
+  (void)n.add_not(a);
+  (void)n.add_mux(a, d, a);
+  rtl::GateHistogram seen{};
+  for (std::size_t i = 0; i < n.gate_count(); ++i) {
+    const rtl::Gate& g = n.gate(static_cast<Net>(i));
+    ++seen[rtl::gate_index(g.kind)];
+    unsigned visited = 0;
+    rtl::for_each_operand(g, [&](Net op) {
+      EXPECT_GE(op, 0) << rtl::to_string(g.kind);
+      ++visited;
+    });
+    EXPECT_EQ(visited, rtl::kind_info(g.kind).arity);
+    const Net slots[] = {g.a, g.b, g.c};
+    for (unsigned s = visited; s < 3; ++s) EXPECT_EQ(slots[s], -1) << rtl::to_string(g.kind);
+  }
+  for (const auto count : seen) EXPECT_EQ(count, 1u);  // every kind covered
 }
 
 // ---------------------------------------------------- word-op properties
