@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "app/rtl_blocks.hpp"
 #include "mc/mc.hpp"
 #include "pcc/pcc.hpp"
@@ -14,21 +12,8 @@ namespace {
 
 using namespace symbad;
 
-/// The fault-grading benches export hard-gated gates_*/encoded_* counters,
-/// which must not wobble with ambient SYMBAD_OPT* knobs — scrub them before
-/// any benchmark runs (the incremental toggle is set per-bench below).
-const bool kEnvScrubbed = [] {
-  for (const char* knob : {"SYMBAD_OPT", "SYMBAD_OPT_SWEEP",
-                           "SYMBAD_OPT_SWEEP_ROUNDS",
-                           "SYMBAD_OPT_SWEEP_MAX_PROOFS",
-                           "SYMBAD_OPT_INCREMENTAL"}) {
-    ::unsetenv(knob);
-  }
-  return true;
-}();
-
 /// Shared body of the multi-fault grading benches: runs the PCC campaign
-/// with the session's per-fault mode pinned by SYMBAD_OPT_INCREMENTAL
+/// with the session's per-fault mode pinned by PccOptions::incremental
 /// (Arg 0 = full rebuild per fault, Arg 1 = incremental cone splice) and
 /// exports the deterministic formal-grading footprint. gates_before /
 /// gates_after / encoded_vars / encoded_clauses are hard-gated by
@@ -38,13 +23,12 @@ void run_fault_grading(benchmark::State& state, const rtl::Netlist& n,
                        const std::vector<mc::Property>& properties,
                        pcc::PccOptions options) {
   const bool incremental = state.range(0) != 0;
-  ::setenv("SYMBAD_OPT_INCREMENTAL", incremental ? "1" : "0", 1);
+  options.incremental = incremental;
   pcc::PccReport report;
   for (auto _ : state) {
     report = pcc::check_property_coverage(n, properties, options);
     benchmark::DoNotOptimize(report.detected);
   }
-  ::unsetenv("SYMBAD_OPT_INCREMENTAL");
   state.counters["incremental"] = incremental ? 1.0 : 0.0;
   state.counters["coverage_pct"] = report.coverage_percent();
   state.counters["gates_before"] = static_cast<double>(report.opt_gates_before);

@@ -11,24 +11,9 @@
 #include "mc/mc.hpp"
 #include "opt/optimizer.hpp"
 
-#include <cstdlib>
-
 namespace {
 
 using namespace symbad;
-
-/// The hard-gated counters must not wobble with ambient SYMBAD_OPT*
-/// knobs. The pipeline benches pin options explicitly; the end-to-end
-/// benches reach the optimizer through mc::ModelChecker (which reads the
-/// environment), so the knobs are scrubbed before any benchmark runs.
-const bool kEnvScrubbed = [] {
-  for (const char* knob : {"SYMBAD_OPT", "SYMBAD_OPT_SWEEP",
-                           "SYMBAD_OPT_SWEEP_ROUNDS",
-                           "SYMBAD_OPT_SWEEP_MAX_PROOFS"}) {
-    ::unsetenv(knob);
-  }
-  return true;
-}();
 
 /// Pinned defaults for the pipeline benches.
 opt::OptimizerOptions pinned(bool sweep) {

@@ -192,11 +192,8 @@ namespace {
 /// Good-circuit preprocessing: merge/fold only, never drop — the faulty
 /// copies translate arbitrary out-of-cone operands through the map, so it
 /// must stay total.
-std::optional<opt::OptimizeResult> preprocess_good(const rtl::Netlist& netlist,
-                                                   bool optimize) {
-  if (!optimize) return std::nullopt;
-  opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-  if (!oo.enabled) return std::nullopt;
+opt::OptimizeResult preprocess_good(const rtl::Netlist& netlist) {
+  opt::OptimizerOptions oo;
   oo.keep_all_nets = true;
   return opt::optimize(netlist, oo);
 }
@@ -216,21 +213,19 @@ SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
   // the optimization itself is cached too: reoptimize({}) hands back a
   // copy of the already-swept baseline instead of a fresh pipeline run.
   std::optional<opt::OptimizeResult> optimized;
-  if (options_.session != nullptr) {
+  if (options_.optimize && options_.session != nullptr) {
     const opt::PreprocessSession& session = *options_.session;
     if (&session.original() != &netlist) {
       throw std::invalid_argument{
           "atpg: preprocess session was built over a different netlist"};
     }
-    if (session.enabled()) {
-      optimized = session.reoptimize({});
-      if (!optimized->map.total()) {
-        throw std::invalid_argument{
-            "atpg: preprocess session must keep all nets (keep_all_nets)"};
-      }
+    optimized = session.reoptimize({});
+    if (!optimized->map.total()) {
+      throw std::invalid_argument{
+          "atpg: preprocess session must keep all nets (keep_all_nets)"};
     }
-  } else {
-    optimized = preprocess_good(netlist, options_.optimize);
+  } else if (options_.optimize) {
+    optimized = preprocess_good(netlist);
   }
   std::optional<rtl::CnfEncoder> good_encoder;
   std::vector<rtl::Frame> good_opt;  // optimized indexing, for chaining only

@@ -149,16 +149,14 @@ public:
     /// semantics live on the as-built structure — but share the optimized
     /// good copy's literals for everything outside the fault cone, via
     /// map-translated frames. Exact: per-fault detectability is identical
-    /// with preprocessing on or off. Tuned/disabled globally by the
-    /// SYMBAD_OPT* environment knobs.
+    /// with preprocessing on or off.
     bool optimize = true;
-    /// Campaign-cached preprocessing: when set, the good-circuit
-    /// optimization comes from this session's cached baseline instead of a
-    /// fresh pipeline run per engine, so a campaign holding many engines
-    /// (or one engine next to PCC grading) optimizes the netlist once.
-    /// The session must be built over the same netlist with
-    /// keep_all_nets (total map) — validated at construction; `optimize`
-    /// is ignored in favour of the session's enabled() state. Non-owning;
+    /// Campaign-cached preprocessing: when set (and `optimize` is on), the
+    /// good-circuit optimization comes from this session's cached baseline
+    /// instead of a fresh pipeline run per engine, so a campaign holding
+    /// many engines (or one engine next to PCC grading) optimizes the
+    /// netlist once. The session must be built over the same netlist with
+    /// keep_all_nets (total map) — validated at construction. Non-owning;
     /// must outlive the engine.
     const opt::PreprocessSession* session = nullptr;
   };

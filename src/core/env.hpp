@@ -4,10 +4,10 @@
 // The repo's determinism contract requires misconfigured knobs to fail
 // loudly instead of silently falling back (ARCHITECTURE.md): `atoi`-style
 // parsing used to map garbage ("abc") and nonsense ("-3") to whatever the
-// caller's default was. Three subsystems (exec's worker count, opt's
-// SYMBAD_OPT* pipeline knobs, sat's SYMBAD_SAT_COMPACT compaction mode)
-// each grew their own copy of the same strict `strtol` loop; this header
-// is the single shared implementation they all call now.
+// caller's default was. The process-level knobs (exec's worker count,
+// obs's telemetry level) and the generator's sweep sizing share this one
+// strict implementation. The formal engines read no environment: their
+// settings are Options fields.
 
 #include <optional>
 

@@ -122,7 +122,7 @@ rtl::Netlist random_netlist(verif::Rng& rng, const NetlistShape& shape,
     n.set_output("o" + std::to_string(o), pool[idx]);
   }
   n.validate();
-  // Default-on boundary self-check (SYMBAD_LINT): a generated netlist must
+  // Boundary self-check (structural lint rules): a generated netlist must
   // be free of error-severity lint findings before any campaign sees it.
   // The pool nets the recipe leaves outside every output cone are a
   // warning by design (NL007 dangling-logic), not an error.

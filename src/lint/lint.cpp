@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/env.hpp"
 #include "obs/obs.hpp"
 #include "rtl/cnf.hpp"
 #include "sat/solver.hpp"
@@ -723,13 +722,6 @@ bool FaultPruner::undetectable(rtl::Net net, bool stuck_to) const {
 
 // ---------------------------------------------------- boundary self-check
 
-Mode mode_from_env() {
-  if (const auto v = core::parse_env_int("SYMBAD_LINT", 0, 2)) {
-    return static_cast<Mode>(*v);
-  }
-  return Mode::structural;
-}
-
 void enforce(const LintReport& report) {
   const std::size_t errors = report.error_count();
   if (errors == 0) return;
@@ -745,19 +737,13 @@ void enforce(const LintReport& report) {
   throw std::logic_error{msg};
 }
 
-void check_netlist(const rtl::Netlist& netlist, const char* where,
-                   bool allow_semantic) {
-  const Mode mode = mode_from_env();
-  if (mode == Mode::off) return;
-  Options o;
-  o.semantic = allow_semantic && mode == Mode::semantic;
-  LintReport report = Linter{std::move(o)}.analyze(netlist);
+void check_netlist(const rtl::Netlist& netlist, const char* where) {
+  LintReport report = Linter{}.analyze(netlist);
   report.subject = std::string{where} + ": " + report.subject;
   enforce(report);
 }
 
 void check_graph(const core::TaskGraph& graph, const char* where) {
-  if (mode_from_env() == Mode::off) return;
   LintReport report = Linter{}.analyze(graph);
   report.subject = std::string{where} + ": " + report.subject;
   enforce(report);

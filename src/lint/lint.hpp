@@ -29,13 +29,14 @@
 // rules_checked / sat_proofs counters are pure functions of the input —
 // hard-gateable as bench counters.
 //
-// Wiring (SYMBAD_LINT = 0 off / 1 structural / 2 +semantic, default 1,
-// strict core::parse_env_int): every generated netlist and platform graph
-// lints clean before entering a campaign (gen), every optimizer output and
-// every PreprocessSession splice lints clean (opt), and mc/pcc run the
-// fault-site prune. Error-severity findings throw at those boundaries;
-// warnings (expected-by-construction structure like the generator's
-// dangling pool nets) do not.
+// Wiring: every generated netlist and platform graph lints clean under the
+// structural rules before entering a campaign (gen), every optimizer output
+// and every PreprocessSession splice lints clean (opt), and mc/pcc run the
+// fault-site prune (their own `lint_prune*` options). Error-severity
+// findings throw at those boundaries; warnings (expected-by-construction
+// structure like the generator's dangling pool nets) do not. The semantic
+// tier runs only where a caller asks for it (Options::semantic,
+// FaultPruner::Options::semantic).
 
 #include <cstddef>
 #include <cstdint>
@@ -230,22 +231,13 @@ private:
 
 // ---------------------------------------------------- boundary self-check
 
-/// SYMBAD_LINT knob value. Default structural; strict parsing in [0, 2]
-/// (core::parse_env_int — garbage throws, never falls back).
-enum class Mode : int { off = 0, structural = 1, semantic = 2 };
-
-[[nodiscard]] Mode mode_from_env();
-
 /// Throws std::logic_error listing the error findings (warnings pass).
 void enforce(const LintReport& report);
 
-/// The default-on IR-boundary self-check: analyzes under the SYMBAD_LINT
-/// mode (no-op when off) and throws on error findings. `where` names the
-/// boundary in the exception ("gen", "opt", "opt.splice"). Hot boundaries
-/// (the per-fault splice) pass `allow_semantic = false` so mode 2 does not
-/// re-prove campaign-invariant facts thousands of times.
-void check_netlist(const rtl::Netlist& netlist, const char* where,
-                   bool allow_semantic = true);
+/// The IR-boundary self-check: runs the structural rules and throws on
+/// error findings. `where` names the boundary in the exception ("gen",
+/// "opt", "opt.splice").
+void check_netlist(const rtl::Netlist& netlist, const char* where);
 void check_graph(const core::TaskGraph& graph, const char* where);
 
 }  // namespace symbad::lint

@@ -193,10 +193,7 @@ std::map<rtl::Net, bool> pruned_faults(const rtl::Netlist& netlist,
                                        std::span<const Property> properties,
                                        const std::map<rtl::Net, bool>& faults,
                                        const ModelChecker::Options& options) {
-  if (!options.lint_prune_faults || faults.empty() ||
-      lint::mode_from_env() == lint::Mode::off) {
-    return faults;
-  }
+  if (!options.lint_prune_faults || faults.empty()) return faults;
   const lint::FaultPruner pruner{netlist, collect_observed(properties)};
   std::map<rtl::Net, bool> kept;
   for (const auto& [net, value] : faults) {
@@ -236,7 +233,6 @@ struct Session {
       // Campaign-cached path: the baseline pipeline (sweep included — it
       // amortizes across the campaign now) already ran at session
       // construction; this check pays only for the fault's cone splice.
-      if (!session->enabled()) return std::nullopt;
       if (&session->original() != &n) {
         throw std::invalid_argument{
             "mc: preprocess session was built over a different netlist"};
@@ -249,8 +245,7 @@ struct Session {
       }
       return session->reoptimize(faults);
     }
-    opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-    if (!oo.enabled) return std::nullopt;
+    opt::OptimizerOptions oo;
     if (options.cone_of_influence) oo.preserve_outputs = collect_observed(properties);
     if (!faults.empty()) {
       oo.faults = &faults;

@@ -206,8 +206,8 @@ public:
     /// preserved, so the reductions compound. Exact, like the cone
     /// reduction: verdicts, bound_used and canonical counterexamples are
     /// bit-identical with preprocessing on or off — only the encoding
-    /// shrinks. The SYMBAD_OPT* environment knobs tune or disable the
-    /// pipeline globally (see opt::OptimizerOptions::from_env).
+    /// shrinks. This is the only switch: the pipeline runs with default
+    /// opt::OptimizerOptions, or those of `preprocess_session`.
     bool optimize = true;
     /// In `check_all`: when a property is retired at some bound, recompute
     /// the cone-of-influence union over the *surviving* properties so later
@@ -221,10 +221,10 @@ public:
     /// verdicts, bound_used and canonical counterexamples are invariant
     /// under memory management.
     sat::Solver::ReduceOptions sat_reduce{};
-    /// Campaign-cached preprocessing: when set (and `optimize` is on and
-    /// the session is enabled), the per-check pipeline run is replaced by
-    /// the session's cached baseline — for a faulty check only the fault's
-    /// forward cone is re-optimized and spliced (opt::PreprocessSession).
+    /// Campaign-cached preprocessing: when set (and `optimize` is on), the
+    /// per-check pipeline run is replaced by the session's cached
+    /// baseline — for a faulty check only the fault's forward cone is
+    /// re-optimized and spliced (opt::PreprocessSession).
     /// Holders grading many faults (pcc::check_property_coverage, ATPG
     /// campaigns) construct one session and pass it to every
     /// check_all_with_faults call. The session must be built over the SAME
@@ -242,8 +242,7 @@ public:
     /// constants, so verdicts, bound_used and canonical counterexamples are
     /// unchanged — only the preprocessing splice and encoding shrink. A
     /// fault map that would prune to empty runs unfiltered, keeping the
-    /// splice-vs-baseline session shape observable to its tests. Gated by
-    /// SYMBAD_LINT=0 globally (lint::Mode::off disables the prune too).
+    /// splice-vs-baseline session shape observable to its tests.
     bool lint_prune_faults = true;
   };
 

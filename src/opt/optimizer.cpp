@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/env.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "opt/rebuild.hpp"
@@ -159,26 +158,9 @@ NetMap compose(const NetMap& first, const NetMap& second) {
   return out;
 }
 
-OptimizerOptions OptimizerOptions::from_env() {
-  // Strict shared parsing (core::parse_env_int): a misconfigured knob
-  // throws instead of silently running with defaults.
-  OptimizerOptions o;
-  if (const auto v = core::parse_env_flag("SYMBAD_OPT")) o.enabled = *v;
-  if (const auto v = core::parse_env_flag("SYMBAD_OPT_SWEEP")) o.sweep = *v;
-  if (const auto v = core::parse_env_int("SYMBAD_OPT_SWEEP_ROUNDS", 1, 64)) {
-    o.sweep_rounds = static_cast<int>(*v);
-  }
-  if (const auto v = core::parse_env_int("SYMBAD_OPT_SWEEP_MAX_PROOFS", 0, 1'000'000'000)) {
-    o.sweep_max_proofs = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = core::parse_env_flag("SYMBAD_OPT_INCREMENTAL")) o.incremental = *v;
-  return o;
-}
-
 namespace {
 
-// One batch of adds per pipeline run (disabled identity runs excluded — no
-// pipeline ran). Gate counts, candidates and solver conflicts are all
+// One batch of adds per pipeline run. Gate counts, candidates and solver conflicts are all
 // deterministic for a fixed input.
 void publish_obs(const OptimizeResult& result) {
   struct OptObs {
@@ -212,20 +194,6 @@ OptimizeResult Optimizer::run(const Netlist& input) const {
   input.validate();
   OBS_SPAN("opt.run");
   OptimizeResult result;
-
-  if (!options_.enabled) {
-    // The master switch means what it says even for direct callers: an
-    // identity result (netlist copy, identity map), no pipeline run.
-    result.netlist = input;
-    result.map.old_to_new.resize(input.gate_count());
-    for (std::size_t i = 0; i < input.gate_count(); ++i) {
-      result.map.old_to_new[i] = static_cast<Net>(i);
-    }
-    result.passes.push_back(PassStats{"disabled", input.gate_count(),
-                                      input.gate_count(), 0, 0, 0, 0,
-                                      input.gate_histogram()});
-    return result;
-  }
 
   RebuildOptions ro;
   ro.preserve_outputs = &options_.preserve_outputs;
@@ -274,7 +242,7 @@ OptimizeResult Optimizer::run(const Netlist& input) const {
 
   result.netlist = std::move(r1.netlist);
   result.map = std::move(r1.map);
-  // Default-on boundary self-check (SYMBAD_LINT): every pipeline output
+  // Boundary self-check (structural lint rules): every pipeline output
   // must be free of error-severity findings. keep_all_nets output dangles
   // by design — that is warning severity, not an error.
   lint::check_netlist(result.netlist, "opt");

@@ -63,7 +63,7 @@ struct NetMap {
 
 /// Per-pass accounting, reported in pipeline order.
 struct PassStats {
-  std::string pass;  ///< "rewrite", "sweep", "incremental", or "disabled"
+  std::string pass;  ///< "rewrite", "sweep", or "incremental"
   std::size_t gates_before = 0;
   std::size_t gates_after = 0;
   // Sweep-only figures (zero for rewrite passes):
@@ -75,18 +75,17 @@ struct PassStats {
   rtl::GateHistogram histogram_after{};
 };
 
+/// Pipeline settings. Whether preprocessing runs at all is the formal
+/// client's own `optimize` option (mc::ModelChecker::Options,
+/// pcc::PccOptions, atpg::SatEngine::Options); these fields only shape it.
 struct OptimizerOptions {
-  /// Master switch. `from_env` maps SYMBAD_OPT=0 here; formal clients
-  /// skip preprocessing entirely when this is false.
-  bool enabled = true;
-  /// Run the SAT-sweeping pass after structural rewriting (SYMBAD_OPT_SWEEP).
+  /// Run the SAT-sweeping pass after structural rewriting.
   bool sweep = true;
   /// 64-pattern words of random simulation per net for sweep candidate
-  /// grouping (SYMBAD_OPT_SWEEP_ROUNDS). More rounds = fewer false
-  /// candidates = fewer refuted SAT calls.
+  /// grouping. More rounds = fewer false candidates = fewer refuted SAT
+  /// calls.
   int sweep_rounds = 4;
-  /// Cap on SAT equivalence proofs per sweep, 0 = unlimited
-  /// (SYMBAD_OPT_SWEEP_MAX_PROOFS).
+  /// Cap on SAT equivalence proofs per sweep, 0 = unlimited.
   std::size_t sweep_max_proofs = 0;
   /// Seed for the sweep's deterministic random patterns.
   std::uint64_t sweep_seed = 0x0B715EEDULL;
@@ -108,14 +107,9 @@ struct OptimizerOptions {
   /// (opt::PreprocessSession): only the fault's forward cone is rebuilt
   /// and spliced onto a copy of the baseline. When false the session falls
   /// back to a full per-fault rebuild (sweep off — it cannot amortize),
-  /// exactly the pre-session behaviour (SYMBAD_OPT_INCREMENTAL). Exact
-  /// either way; this knob trades nothing but time.
+  /// exactly the pre-session behaviour. Exact either way; this option
+  /// trades nothing but time.
   bool incremental = true;
-
-  /// Defaults overridden by the SYMBAD_OPT_* environment knobs
-  /// (documented in the README). Parsing is strict: garbage throws
-  /// std::invalid_argument instead of silently falling back.
-  [[nodiscard]] static OptimizerOptions from_env();
 };
 
 struct OptimizeResult {
@@ -150,7 +144,6 @@ struct OptimizeResult {
 /// then SAT sweep, then a final rewrite to collapse the merge fallout.
 class Optimizer {
 public:
-  Optimizer() : Optimizer{OptimizerOptions::from_env()} {}
   explicit Optimizer(OptimizerOptions options) : options_{std::move(options)} {}
 
   [[nodiscard]] OptimizeResult run(const rtl::Netlist& input) const;

@@ -13,16 +13,24 @@ using rtl::GateKind;
 using rtl::Net;
 using rtl::Netlist;
 
-PreprocessSession::PreprocessSession(const Netlist& netlist, OptimizerOptions options)
-    : original_{&netlist}, options_{std::move(options)} {
-  if (options_.faults != nullptr) {
+namespace {
+
+OptimizerOptions fault_free(OptimizerOptions options) {
+  if (options.faults != nullptr) {
     throw std::invalid_argument{
         "opt: session baseline cannot carry faults (pass them to reoptimize)"};
   }
-  if (!options_.enabled) return;  // inert: callers check enabled()
-  baseline_.emplace(Optimizer{options_}.run(netlist));
-  baseline_hash_ = detail::Builder::scan_hash(baseline_->netlist, baseline_consts_);
-  tracer_.emplace(netlist);
+  return options;
+}
+
+}  // namespace
+
+PreprocessSession::PreprocessSession(const Netlist& netlist, OptimizerOptions options)
+    : original_{&netlist},
+      options_{fault_free(std::move(options))},
+      baseline_{Optimizer{options_}.run(netlist)},
+      tracer_{netlist} {
+  baseline_hash_ = detail::Builder::scan_hash(baseline_.netlist, baseline_consts_);
 }
 
 OptimizeResult PreprocessSession::full_rebuild(
@@ -38,14 +46,11 @@ OptimizeResult PreprocessSession::full_rebuild(
 
 OptimizeResult PreprocessSession::reoptimize(
     const std::map<Net, bool>& faults) const {
-  if (!options_.enabled) {
-    throw std::logic_error{"opt: reoptimize on a disabled session"};
-  }
   if (faults.empty()) {
     OptimizeResult copy;
-    copy.netlist = baseline_->netlist;
-    copy.map = baseline_->map;
-    copy.passes = baseline_->passes;
+    copy.netlist = baseline_.netlist;
+    copy.map = baseline_.map;
+    copy.passes = baseline_.passes;
     return copy;
   }
   ++stats_.reoptimizes;
@@ -56,12 +61,12 @@ OptimizeResult PreprocessSession::reoptimize(
   ++stats_.incremental;
 
   const Netlist& in = *original_;
-  const NetMap& base = baseline_->map;
+  const NetMap& base = baseline_.map;
 
   std::vector<Net> sites;
   sites.reserve(faults.size());
   for (const auto& [net, value] : faults) sites.push_back(net);
-  const std::vector<char> cone = tracer_->fault_cone_closure(sites);
+  const std::vector<char> cone = tracer_.fault_cone_closure(sites);
 
   // The rebuild set: every in-cone net the baseline kept alive, plus — by
   // backward closure over operands — every baseline-DEAD net a rebuilt net
@@ -93,7 +98,7 @@ OptimizeResult PreprocessSession::reoptimize(
   // Delta rebuild over a copy of the baseline: walk the ORIGINAL nets in
   // declaration order and re-derive an image for every net in the rebuild
   // set; all other operands read straight from the cached baseline map.
-  detail::Builder b{baseline_->netlist, &baseline_hash_, baseline_consts_};
+  detail::Builder b{baseline_.netlist, &baseline_hash_, baseline_consts_};
   std::vector<Net> image(in.gate_count(), -1);
   std::vector<std::pair<Net, Net>> reconnect;  // (spliced dff net, old next)
   std::size_t cone_nets = 0;
@@ -147,7 +152,7 @@ OptimizeResult PreprocessSession::reoptimize(
   for (const auto& [name, net] : in.outputs()) {
     const auto j = static_cast<std::size_t>(net);
     if (rebuild[j] == 0) continue;
-    if (!baseline_->netlist.outputs().contains(name)) continue;  // not preserved
+    if (!baseline_.netlist.outputs().contains(name)) continue;  // not preserved
     b.set_output(name, image[j]);
   }
 
@@ -156,18 +161,16 @@ OptimizeResult PreprocessSession::reoptimize(
   for (std::size_t i = 0; i < in.gate_count(); ++i) {
     out.map.old_to_new[i] = rebuild[i] != 0 ? image[i] : base.old_to_new[i];
   }
-  out.passes = baseline_->passes;
+  out.passes = baseline_.passes;
   out.passes.push_back(PassStats{"incremental", in.gate_count(),
                                  b.netlist().gate_count(), 0, 0, 0, 0,
                                  b.netlist().gate_histogram()});
   out.netlist = b.take();
   stats_.cone_nets += cone_nets;
-  // Default-on splice self-check (SYMBAD_LINT): the cone splice is exactly
-  // the construction that produced PR 7's out-of-range operand bug, so its
-  // output is structurally linted on every reoptimize. Structural tier
-  // only, even under SYMBAD_LINT=2 — a campaign splices thousands of
-  // times and the semantic proofs are campaign-invariant.
-  lint::check_netlist(out.netlist, "opt.splice", /*allow_semantic=*/false);
+  // Splice self-check: the cone splice is exactly the construction that
+  // once produced an out-of-range operand, so its output is structurally
+  // linted on every reoptimize.
+  lint::check_netlist(out.netlist, "opt.splice");
   return out;
 }
 

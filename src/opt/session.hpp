@@ -38,7 +38,6 @@
 #include <array>
 #include <cstddef>
 #include <map>
-#include <optional>
 
 #include "opt/optimizer.hpp"
 #include "opt/rebuild.hpp"
@@ -56,20 +55,17 @@ public:
     std::size_t cone_nets = 0;       ///< original nets re-optimized, summed
   };
 
-  /// Runs the baseline pipeline once (unless `options.enabled` is false —
-  /// then the session is inert and `enabled()` reports it). `netlist` must
-  /// outlive the session; `options.faults` must be null (faults arrive per
-  /// reoptimize call).
+  /// Runs the baseline pipeline once. `netlist` must outlive the session;
+  /// `options.faults` must be null (faults arrive per reoptimize call).
   PreprocessSession(const rtl::Netlist& netlist, OptimizerOptions options);
 
   PreprocessSession(const PreprocessSession&) = delete;
   PreprocessSession& operator=(const PreprocessSession&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return options_.enabled; }
   [[nodiscard]] const rtl::Netlist& original() const noexcept { return *original_; }
   [[nodiscard]] const OptimizerOptions& options() const noexcept { return options_; }
-  /// The cached good-netlist optimization (valid only when enabled()).
-  [[nodiscard]] const OptimizeResult& baseline() const { return *baseline_; }
+  /// The cached good-netlist optimization.
+  [[nodiscard]] const OptimizeResult& baseline() const noexcept { return baseline_; }
 
   /// Optimized netlist + original->new map for the given stuck-at faults.
   /// Empty fault set: a copy of the baseline. With `options().incremental`
@@ -85,10 +81,10 @@ private:
 
   const rtl::Netlist* original_;
   OptimizerOptions options_;
-  std::optional<OptimizeResult> baseline_;
+  OptimizeResult baseline_;
   detail::Builder::HashMap baseline_hash_;   ///< keyed by baseline net ids
   std::array<rtl::Net, 2> baseline_consts_{-1, -1};
-  std::optional<rtl::ConeTracer> tracer_;    ///< over the original netlist
+  rtl::ConeTracer tracer_;                   ///< over the original netlist
   mutable Stats stats_;
 };
 

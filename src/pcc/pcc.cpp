@@ -109,14 +109,12 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // only for re-optimizing its own forward cone against that baseline.
   std::optional<opt::PreprocessSession> session;
   if (options.optimize) {
-    opt::OptimizerOptions oo = opt::OptimizerOptions::from_env();
-    if (oo.enabled) {
-      oo.preserve_outputs =
-          mc::observed_outputs({properties.data(), properties.size()});
-      session.emplace(netlist, std::move(oo));
-      mc_opts.preprocess_session = &*session;
-      report.baseline_sweep_proofs = session->baseline().sweep_proofs();
-    }
+    opt::OptimizerOptions oo;
+    oo.incremental = options.incremental;
+    oo.preserve_outputs = mc::observed_outputs({properties.data(), properties.size()});
+    session.emplace(netlist, std::move(oo));
+    mc_opts.preprocess_session = &*session;
+    report.baseline_sweep_proofs = session->baseline().sweep_proofs();
   }
 
   // A-priori fault prune (PccOptions::lint_prune): faults the FaultPruner
@@ -129,12 +127,8 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // visible or not), so the first prunable sim-missed fault lazily runs one
   // fault-free probe; a dirty probe disables the prune for the campaign.
   std::optional<lint::FaultPruner> pruner;
-  if (options.lint_prune && lint::mode_from_env() != lint::Mode::off) {
-    lint::FaultPruner::Options po;
-    po.semantic = lint::mode_from_env() == lint::Mode::semantic;
-    pruner.emplace(netlist,
-                   mc::observed_outputs({properties.data(), properties.size()}),
-                   po);
+  if (options.lint_prune) {
+    pruner.emplace(netlist, mc::observed_outputs({properties.data(), properties.size()}));
   }
   bool good_design_probed = false;
   rtl::Simulator sim{netlist};

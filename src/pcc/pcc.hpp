@@ -45,7 +45,7 @@ struct PccReport {
   // figures are hard-gated as bench counters. incremental_reopts vs
   // full_rebuilds splits those faults by whether the campaign's cached
   // opt::PreprocessSession served them with a fault-cone splice
-  // (SYMBAD_OPT_INCREMENTAL=1, the default) or a full per-fault rebuild;
+  // (PccOptions::incremental, the default) or a full per-fault rebuild;
   // both are zero with preprocessing off.
   std::size_t opt_gates_before = 0;  ///< gates entering the per-fault pipeline
   std::size_t opt_gates_after = 0;   ///< gates actually handed to the encoder
@@ -75,19 +75,22 @@ struct PccOptions {
   /// BMC grading. The campaign holds ONE cached opt::PreprocessSession:
   /// the good netlist is optimized once (SAT sweep included, amortized
   /// across the fault list) and each graded fault re-optimizes only its
-  /// forward cone against that baseline — or, with
-  /// SYMBAD_OPT_INCREMENTAL=0, falls back to a full rebuild per fault.
-  /// Detection verdicts are identical in every mode.
+  /// forward cone against that baseline — or, with `incremental` off,
+  /// falls back to a full rebuild per fault. Detection verdicts are
+  /// identical in every mode.
   bool optimize = true;
+  /// The session's per-fault mode (opt::OptimizerOptions::incremental):
+  /// cone splice against the cached baseline, or the full-rebuild
+  /// reference path. Exact either way; only meaningful with `optimize`.
+  bool incremental = true;
   /// Skip the BMC stage for faults a lint::FaultPruner proves undetectable
-  /// (outside every observed-output cone; under SYMBAD_LINT=2 also sites
-  /// whose net provably equals the stuck value). The simulation pre-pass
+  /// (outside every observed-output cone). The simulation pre-pass
   /// still runs for every fault — it consumes the shared campaign rng, and
   /// skipping it would shift the stimuli of later faults. Exactness is
   /// guarded by a one-time fault-free BMC probe: a pruned fault is reported
   /// undetected only if the *good* design passes every property (else the
   /// prune is disabled for the campaign). Verdicts and coverage are
-  /// identical with the prune on or off; gated globally by SYMBAD_LINT=0.
+  /// identical with the prune on or off.
   bool lint_prune = true;
 };
 

@@ -229,7 +229,7 @@ void Simulator::reset() {
     sources_[static_cast<std::size_t>(d)] = netlist_->gate(d).init ? 1 : 0;
   }
   cycles_ = 0;
-  eval();
+  dirty_ = true;
 }
 
 void Simulator::set_input(const std::string& name, bool value) {
@@ -245,7 +245,8 @@ void Simulator::set_input(Net input_net, bool value) {
   dirty_ = true;
 }
 
-void Simulator::eval() {
+void Simulator::eval() const {
+  if (!dirty_) return;
   for (const Net in : netlist_->inputs()) {
     values_[static_cast<std::size_t>(in)] = sources_[static_cast<std::size_t>(in)];
   }
@@ -261,13 +262,13 @@ void Simulator::eval() {
 }
 
 void Simulator::step() {
-  if (dirty_) eval();
+  eval();
   for (const Net d : netlist_->flip_flops()) {
     sources_[static_cast<std::size_t>(d)] =
         values_[static_cast<std::size_t>(netlist_->gate(d).a)] & 1;
   }
   ++cycles_;
-  eval();  // outputs reflect the new state
+  dirty_ = true;  // the next read evaluates the new state
 }
 
 bool Simulator::output(const std::string& name) const {
@@ -312,7 +313,7 @@ void Simulator::force_state(std::uint64_t bits) {
   for (std::size_t i = 0; i < dffs.size(); ++i) {
     sources_[static_cast<std::size_t>(dffs[i])] = (bits >> i) & 1;
   }
-  eval();
+  dirty_ = true;
 }
 
 void Simulator::force_inputs(std::uint64_t bits) {

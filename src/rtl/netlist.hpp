@@ -208,17 +208,24 @@ class Simulator {
 public:
   explicit Simulator(const Netlist& netlist);
 
+  // Evaluation is lazy: every change of inputs, state or faults (including
+  // `step()`, `reset()` and `force_state()`) only marks the combinational
+  // values stale, and the first read afterwards (`value`, `output`,
+  // `eval`) runs the one evaluation pass. A read always sees the current
+  // inputs and state.
+
   /// Returns flip-flops to their reset values and clears input values.
   void reset();
   void set_input(const std::string& name, bool value);
   void set_input(Net input_net, bool value);
-  /// Evaluates the combinational logic with current inputs/state.
-  void eval();
-  /// `eval()` then clocks all flip-flops once. The pre-clock evaluation is
-  /// skipped when nothing changed since the last `eval()`.
+  /// Evaluates the combinational logic with current inputs/state (a no-op
+  /// when nothing changed since the last evaluation).
+  void eval() const;
+  /// Evaluates, then clocks all flip-flops once.
   void step();
 
   [[nodiscard]] bool value(Net n) const {
+    eval();
     return (values_.at(static_cast<std::size_t>(n)) & 1) != 0;
   }
   [[nodiscard]] bool output(const std::string& name) const;
@@ -232,7 +239,7 @@ public:
   /// Flip-flop state packed LSB-first in flip-flop declaration order
   /// (explicit-state model checking). Requires <= 64 flip-flops.
   [[nodiscard]] std::uint64_t state_bits() const;
-  /// Overwrites the flip-flop state (and re-evaluates combinational logic).
+  /// Overwrites the flip-flop state.
   void force_state(std::uint64_t bits);
   /// Drives all primary inputs from packed bits (declaration order).
   /// Requires <= 64 inputs.
@@ -240,13 +247,14 @@ public:
 
 private:
   const Netlist* netlist_;
-  std::vector<std::uint64_t> values_;   // evaluated word per net (lane 0)
+  // Evaluation cache, refreshed by the const eval() on the first read.
+  mutable std::vector<std::uint64_t> values_;  // evaluated word per net (lane 0)
+  mutable bool dirty_ = true;  // sources or faults changed since the last eval()
   std::vector<std::uint64_t> sources_;  // input values and dff state, per net
   std::vector<std::uint64_t> keep_;     // force masks, per net
   std::vector<std::uint64_t> force_;
   std::uint64_t cycles_ = 0;
   int fault_count_ = 0;
-  bool dirty_ = true;  // sources or faults changed since the last eval()
 };
 
 }  // namespace symbad::rtl

@@ -1,6 +1,7 @@
 #include "symbc/parser.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace symbad::symbc {
 
@@ -119,6 +120,16 @@ private:
   }
 
   void parse_statement(Block& out) {
+    if (depth_ == kMaxNestingDepth) {
+      fail("statements nested deeper than " + std::to_string(kMaxNestingDepth) +
+           " levels");
+    }
+    ++depth_;
+    parse_nested_statement(out);
+    --depth_;
+  }
+
+  void parse_nested_statement(Block& out) {
     const Token& t = peek();
     if (t.is_punct('{')) {
       advance();
@@ -265,6 +276,7 @@ private:
   std::vector<Token> tokens_;
   std::string reconfig_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< statement nesting of the parse_statement in progress
 };
 
 }  // namespace

@@ -15,8 +15,14 @@
 
 namespace symbad::symbc {
 
+/// Deepest statement nesting the parser accepts: a function body's
+/// statements sit at depth 1, and every compound block, `if`/`else` branch
+/// and loop body adds one (`if (x) { ... }` is two levels). Deeper input is
+/// a syntax error, which also bounds the recursion of the checker's walk.
+inline constexpr int kMaxNestingDepth = 256;
+
 /// Parses a full translation unit. Throws std::runtime_error with a line
-/// reference on syntax errors.
+/// reference on syntax errors (including nesting beyond kMaxNestingDepth).
 [[nodiscard]] Program parse_program(const std::string& source,
                                     const std::string& reconfig_function);
 

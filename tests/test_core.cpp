@@ -373,9 +373,9 @@ TEST(Explorer, FindsAcceleratedParetoPoints) {
 // ------------------------------------------------- strict env-knob parsing
 
 // The shared strict parser behind every SYMBAD_* integer knob
-// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_OPT*, SYMBAD_SAT_COMPACT). The
-// exhaustive accept/reject matrix lives here, next to the implementation;
-// the subsystems keep one integration test each that garbage still throws
+// (SYMBAD_CAMPAIGN_WORKERS, SYMBAD_OBS, SYMBAD_GEN_*). The exhaustive
+// accept/reject matrix lives here, next to the implementation; the
+// subsystems keep one integration test each that garbage still throws
 // through their entry points.
 
 namespace {

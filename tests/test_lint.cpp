@@ -1,14 +1,12 @@
 // Tests for the static-analysis engine (src/lint): per-rule positive
 // detection with exact rule IDs, lint-cleanliness of every seed design and
 // generated tier, optimizer/splice output cleanliness, the FaultPruner and
-// its mc/pcc campaign wiring (verdict/coverage identity), and the strict
-// SYMBAD_LINT environment knob.
+// its mc/pcc campaign wiring (verdict/coverage identity), and the boundary
+// self-check helpers.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,32 +33,6 @@ namespace rtl = symbad::rtl;
 using lint::Rule;
 
 namespace {
-
-/// Scoped environment override restoring the previous value on destruction.
-class EnvGuard {
-public:
-  EnvGuard(const char* name, const char* value) : name_{name} {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (old_.has_value()) {
-      ::setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
 
 /// Small clean fixture: two inputs, one register, an output cone covering
 /// every gate. Lints with zero findings, so per-rule tests mutate it.
@@ -443,17 +415,22 @@ TEST(LintClean, GeneratedTaskGraphsHaveNoErrorFindings) {
 
 TEST(LintClean, OptimizerAndSpliceOutputsBothIncrementalModes) {
   // Optimizer outputs and PreprocessSession splices lint error-free with
-  // SYMBAD_OPT_INCREMENTAL in both positions. The boundary self-checks
-  // inside opt:: already throw on errors; this pins the reports directly.
-  const lint::Linter linter{};
-  for (const char* incremental : {"1", "0"}) {
-    EnvGuard guard{"SYMBAD_OPT_INCREMENTAL", incremental};
+  // OptimizerOptions::incremental in both positions, under the structural
+  // and the semantic tier. The boundary self-checks inside opt:: already
+  // throw on structural errors; this pins both reports directly.
+  lint::Options semantic;
+  semantic.semantic = true;
+  const lint::Linter linters[] = {lint::Linter{}, lint::Linter{semantic}};
+  for (const bool incremental : {true, false}) {
+    opt::OptimizerOptions options;
+    options.incremental = incremental;
     for (int i = 0; i < 4; ++i) {
       const auto n = gen::generate_netlist(gen::SweepConfig{}.seed_at(i),
                                            gen::SizeTier::medium);
-      const opt::PreprocessSession session{n, opt::OptimizerOptions::from_env()};
-      ASSERT_TRUE(session.enabled());
-      EXPECT_EQ(linter.analyze(session.baseline().netlist).error_count(), 0u);
+      const opt::PreprocessSession session{n, options};
+      for (const auto& linter : linters) {
+        EXPECT_EQ(linter.analyze(session.baseline().netlist).error_count(), 0u);
+      }
       // A handful of fault sites spread across the netlist.
       for (std::size_t site = 5; site < n.gate_count(); site += n.gate_count() / 3) {
         const auto kind = n.gate(static_cast<rtl::Net>(site)).kind;
@@ -463,10 +440,12 @@ TEST(LintClean, OptimizerAndSpliceOutputsBothIncrementalModes) {
         }
         const std::map<rtl::Net, bool> faults{{static_cast<rtl::Net>(site), true}};
         const auto spliced = session.reoptimize(faults);
-        const auto report = linter.analyze(spliced.netlist);
-        EXPECT_EQ(report.error_count(), 0u)
-            << "site " << site << " incremental=" << incremental << "\n"
-            << report.to_string();
+        for (const auto& linter : linters) {
+          const auto report = linter.analyze(spliced.netlist);
+          EXPECT_EQ(report.error_count(), 0u)
+              << "site " << site << " incremental=" << incremental << "\n"
+              << report.to_string();
+        }
       }
     }
   }
@@ -652,8 +631,7 @@ TEST(LintPccPrune, WrapperCampaignIdenticalUnderPrune) {
   expect_same_coverage(pruned, full);
 }
 
-TEST(LintPccPrune, GatedOffBySymbadLint0) {
-  EnvGuard guard{"SYMBAD_LINT", "0"};
+TEST(LintPccPrune, GatedOffByItsOption) {
   const auto n = app::build_root_rtl();
   std::vector<mc::Property> properties;
   properties.push_back(mc::Property::invariant(
@@ -662,35 +640,12 @@ TEST(LintPccPrune, GatedOffBySymbadLint0) {
   pcc::PccOptions options;
   options.bmc_bound = 2;
   options.max_faults = 6;
-  options.lint_prune = true;
+  options.lint_prune = false;
   const auto report = pcc::check_property_coverage(n, properties, options);
   EXPECT_EQ(report.lint_pruned_faults, 0u);
 }
 
-// -------------------------------------------------- env knob & enforcement
-
-TEST(LintEnv, ModeParsesStrictly) {
-  {
-    EnvGuard guard{"SYMBAD_LINT", nullptr};
-    EXPECT_EQ(lint::mode_from_env(), lint::Mode::structural);  // default on
-  }
-  {
-    EnvGuard guard{"SYMBAD_LINT", "0"};
-    EXPECT_EQ(lint::mode_from_env(), lint::Mode::off);
-  }
-  {
-    EnvGuard guard{"SYMBAD_LINT", "1"};
-    EXPECT_EQ(lint::mode_from_env(), lint::Mode::structural);
-  }
-  {
-    EnvGuard guard{"SYMBAD_LINT", "2"};
-    EXPECT_EQ(lint::mode_from_env(), lint::Mode::semantic);
-  }
-  for (const char* bad : {"3", "-1", "banana", "1x", ""}) {
-    EnvGuard guard{"SYMBAD_LINT", bad};
-    EXPECT_THROW((void)lint::mode_from_env(), std::invalid_argument) << bad;
-  }
-}
+// ------------------------------------------------------------- enforcement
 
 TEST(LintEnforce, ThrowsOnErrorsListsRuleIds) {
   auto v = clean_view();
@@ -709,11 +664,6 @@ TEST(LintEnforce, WarningsPassCheckNetlistCleanOnSeeds) {
   auto v = clean_view();
   v.gates.push_back(rtl::Gate{rtl::GateKind::or_gate, 0, 1, -1, false});
   EXPECT_NO_THROW(lint::enforce(lint::Linter{}.analyze(v)));
-  // ...and the boundary helpers accept every seed design in every mode.
-  for (const char* mode : {"1", "2"}) {
-    EnvGuard guard{"SYMBAD_LINT", mode};
-    EXPECT_NO_THROW(lint::check_netlist(app::build_wrapper_fsm(), "test"));
-  }
-  EnvGuard guard{"SYMBAD_LINT", "0"};  // off: no analysis, no throw
+  // ...and the boundary helper accepts the seed design.
   EXPECT_NO_THROW(lint::check_netlist(app::build_wrapper_fsm(), "test"));
 }

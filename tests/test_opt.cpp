@@ -8,7 +8,10 @@
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "app/rtl_blocks.hpp"
@@ -18,8 +21,11 @@
 #include "opt/equiv.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/sweep.hpp"
+#include "pcc/pcc.hpp"
 #include "rtl/netlist.hpp"
 #include "rtl/wordops.hpp"
+#include "sat/instances.hpp"
+#include "sat/solver.hpp"
 #include "support/test_util.hpp"
 
 namespace opt = symbad::opt;
@@ -28,16 +34,11 @@ namespace rtl = symbad::rtl;
 namespace app = symbad::app;
 namespace atpg = symbad::atpg;
 namespace gen = symbad::gen;
+namespace pcc = symbad::pcc;
+namespace sat = symbad::sat;
 using symbad::verif::Rng;
 
 namespace {
-
-/// Optimizer options that keep the pipeline deterministic regardless of
-/// the SYMBAD_OPT* environment (tests must not depend on ambient knobs).
-opt::OptimizerOptions pinned_options() {
-  opt::OptimizerOptions o;  // defaults, not from_env
-  return o;
-}
 
 // ------------------------------------------------ random netlist harness
 
@@ -116,7 +117,7 @@ TEST(OptRewrite, FoldsLocalRedundancy) {
   const auto t = n.add_or(a, b);
   n.set_output("muxeq", n.add_mux(a, t, t));    // equal arms
 
-  const auto result = opt::optimize(n, pinned_options());
+  const auto result = opt::optimize(n, {});
   const auto& o = result.netlist;
   // Commutative hashing: one AND serves both outputs.
   EXPECT_EQ(o.output("dup1"), o.output("dup2"));
@@ -139,23 +140,6 @@ TEST(OptRewrite, FoldsLocalRedundancy) {
   }
 }
 
-TEST(OptRewrite, DisabledOptionsReturnIdentity) {
-  rtl::Netlist n{"idle"};
-  const auto a = n.add_input("a");
-  n.set_output("y", n.add_and(a, n.add_not(a)));  // foldable on purpose
-  auto options = pinned_options();
-  options.enabled = false;
-  const auto result = opt::optimize(n, options);
-  EXPECT_EQ(result.netlist.gate_count(), n.gate_count());
-  EXPECT_TRUE(result.map.total());
-  for (std::size_t i = 0; i < n.gate_count(); ++i) {
-    EXPECT_EQ(result.map.translate(static_cast<rtl::Net>(i)),
-              static_cast<rtl::Net>(i));
-  }
-  ASSERT_EQ(result.passes.size(), 1u);
-  EXPECT_EQ(result.passes.front().pass, "disabled");
-}
-
 TEST(OptRewrite, ConstantArmsAndSelectInversion) {
   rtl::Netlist n{"muxrules"};
   const auto s = n.add_input("s");
@@ -167,7 +151,7 @@ TEST(OptRewrite, ConstantArmsAndSelectInversion) {
   n.set_output("sel_const1", n.add_mux(one, s, e)); // 1 ? s : e  = s
   n.set_output("inv_sel", n.add_mux(n.add_not(s), e, one));  // = s | e
 
-  const auto result = opt::optimize(n, pinned_options());
+  const auto result = opt::optimize(n, {});
   const auto& o = result.netlist;
   EXPECT_EQ(o.gate(o.output("or_form")).kind, rtl::GateKind::or_gate);
   EXPECT_EQ(o.gate(o.output("and_form")).kind, rtl::GateKind::and_gate);
@@ -187,7 +171,7 @@ TEST(OptRewrite, DeadGateEliminationFollowsPreservedOutputs) {
   n.set_output("live", live);
   n.set_output("dead", dead_reg);
 
-  auto options = pinned_options();
+  opt::OptimizerOptions options;
   options.preserve_outputs = {"live"};
   const auto result = opt::optimize(n, options);
   const auto& o = result.netlist;
@@ -215,7 +199,7 @@ TEST(OptRewrite, BakedFaultsFoldToConstants) {
   n.set_output("y", n.add_or(g, a));
 
   const std::map<rtl::Net, bool> faults{{g, true}};  // and-gate stuck-at-1
-  auto options = pinned_options();
+  opt::OptimizerOptions options;
   options.faults = &faults;
   const auto result = opt::optimize(n, options);
   // y = 1 | a = 1: the whole cone folds to the constant.
@@ -237,7 +221,7 @@ TEST(OptSweep, MergesStructurallyDifferentButEquivalentNets) {
   n.set_output("direct", direct);
   n.set_output("expanded", expanded);
 
-  auto options = pinned_options();
+  opt::OptimizerOptions options;
   options.sweep = false;
   const auto unswept = opt::optimize(n, options);
   EXPECT_NE(unswept.netlist.output("direct"), unswept.netlist.output("expanded"));
@@ -267,7 +251,7 @@ TEST(OptSweep, ComplementMergesAndStateCutPoints) {
   n.set_output("or_form", or_form);
   n.set_output("state", d);
 
-  const auto result = opt::optimize(n, pinned_options());
+  const auto result = opt::optimize(n, {});
   EXPECT_EQ(result.netlist.output("nand_form"), result.netlist.output("or_form"));
   EXPECT_EQ(result.netlist.flip_flops().size(), 1u);
   const auto check = opt::prove_equivalent(n, result.netlist, {8, 3});
@@ -278,7 +262,7 @@ TEST(OptSweep, SweeperStatsAreAccounted) {
   auto rng = symbad::test::rng("sweeper_stats");
   const auto n = random_netlist(rng, 4, 2, 40, 3);
   const auto pass1 = opt::optimize(n, [] {
-    auto o = pinned_options();
+    opt::OptimizerOptions o;
     o.sweep = false;
     return o;
   }());
@@ -326,7 +310,7 @@ TEST(OptEquiv, DetectsARealDifference) {
 
 TEST(OptEquiv, SeedRtlBlocksSurviveOptimization) {
   for (const auto& n : {app::build_wrapper_fsm(), app::build_distance_rtl(4, 8)}) {
-    const auto result = opt::optimize(n, pinned_options());
+    const auto result = opt::optimize(n, {});
     EXPECT_LE(result.netlist.gate_count(), n.gate_count()) << n.name();
     const auto check = opt::prove_equivalent(n, result.netlist, {8, 3});
     EXPECT_NE(check.status, mc::CheckStatus::falsified) << n.name();
@@ -339,7 +323,7 @@ TEST(OptFuzz, OptimizedNetlistsSimulateIdentically) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     auto rng = symbad::test::rng(1000 + seed);
     const auto n = random_netlist(rng, 5, 3, 60, 4);
-    const auto result = opt::optimize(n, pinned_options());
+    const auto result = opt::optimize(n, {});
     EXPECT_LE(result.netlist.gate_count(), n.gate_count()) << "seed " << seed;
     auto stimulus = symbad::test::rng(2000 + seed);
     expect_simulation_equivalent(n, result.netlist, stimulus, 3, 32);
@@ -351,7 +335,7 @@ TEST(OptFuzz, KeepAllNetsModeSimulatesIdenticallyToo) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     auto rng = symbad::test::rng(3000 + seed);
     const auto n = random_netlist(rng, 4, 2, 40, 3);
-    auto options = pinned_options();
+    opt::OptimizerOptions options;
     options.keep_all_nets = true;
     const auto result = opt::optimize(n, options);
     EXPECT_TRUE(result.map.total()) << "seed " << seed;
@@ -419,7 +403,7 @@ TEST(OptGenerative, TieredNetlistsSimulateIdenticallyAfterOptimization) {
     for (int i = 0; i < cfg.count; ++i) {
       const std::uint64_t seed = cfg.seed_at(i);
       const auto n = gen::generate_netlist(seed, tier);
-      const auto result = opt::optimize(n, pinned_options());
+      const auto result = opt::optimize(n, {});
       EXPECT_LE(result.netlist.gate_count(), n.gate_count())
           << gen::to_string(tier) << " seed " << seed;
       auto stimulus = symbad::test::rng(seed ^ 0xC0FFEEULL);
@@ -622,35 +606,58 @@ TEST(OptLiveCone, CheckAllDropsRetiredConesFromLaterBounds) {
   }
 }
 
-// ------------------------------------------------------- environment knobs
 
-TEST(OptEnv, MasterSwitchDisablesPreprocessing) {
+// ------------------------------------------------ retired environment knobs
+
+TEST(OptEnv, RetiredKnobsAreInert) {
+  // The exact formal optimizations used to be switchable from the
+  // environment; their settings are Options fields now, and these names
+  // must neither throw nor change any result, however garbled.
   const auto fsm = app::build_wrapper_fsm();
   const mc::ModelChecker checker{fsm};
   const auto prop = app::wrapper_properties_extended().front();
+  pcc::PccOptions pcc_options;
+  pcc_options.bmc_bound = 6;
+  pcc_options.simulation_runs = 1;
+  pcc_options.simulation_cycles = 16;
+  const auto run = [&] {
+    sat::Solver solver;
+    sat::add_pigeonhole(solver, 6);
+    const auto verdict = solver.solve();
+    const auto check = checker.check(prop, {8, 3});
+    const auto coverage = pcc::check_property_coverage(
+        fsm, app::wrapper_properties_initial(), pcc_options);
+    return std::tuple{verdict, solver.statistics().conflicts,
+                      solver.statistics().arena_compactions, check.status,
+                      check.bound_used, check.solver_variables, check.solver_clauses,
+                      coverage.detected, coverage.detected_by_bmc,
+                      coverage.lint_pruned_faults, coverage.encoded_vars,
+                      coverage.incremental_reopts};
+  };
+  const auto reference = run();
 
-  mc::ModelChecker::Options options{8, 3};
-  options.optimize = false;
-  const auto reference = checker.check(prop, options);
-
-  ::setenv("SYMBAD_OPT", "0", 1);
-  options.optimize = true;  // requested, but the env master switch wins
-  const auto disabled = checker.check(prop, options);
-  ::unsetenv("SYMBAD_OPT");
-  EXPECT_EQ(disabled.solver_variables, reference.solver_variables);
-  EXPECT_EQ(disabled.solver_clauses, reference.solver_clauses);
-}
-
-TEST(OptEnv, KnobsParseStrictly) {
-  ::setenv("SYMBAD_OPT", "banana", 1);
-  EXPECT_THROW(opt::OptimizerOptions::from_env(), std::invalid_argument);
-  ::setenv("SYMBAD_OPT", "1", 1);
-  ::setenv("SYMBAD_OPT_SWEEP_ROUNDS", "0", 1);  // out of [1, 64]
-  EXPECT_THROW(opt::OptimizerOptions::from_env(), std::invalid_argument);
-  ::unsetenv("SYMBAD_OPT_SWEEP_ROUNDS");
-  ::setenv("SYMBAD_OPT_SWEEP", "0", 1);
-  EXPECT_FALSE(opt::OptimizerOptions::from_env().sweep);
-  ::unsetenv("SYMBAD_OPT_SWEEP");
-  ::unsetenv("SYMBAD_OPT");
-  EXPECT_TRUE(opt::OptimizerOptions::from_env().enabled);
+  const char* const knobs[] = {"SYMBAD_OPT",
+                               "SYMBAD_OPT_SWEEP",
+                               "SYMBAD_OPT_SWEEP_ROUNDS",
+                               "SYMBAD_OPT_SWEEP_MAX_PROOFS",
+                               "SYMBAD_OPT_INCREMENTAL",
+                               "SYMBAD_SAT_COMPACT",
+                               "SYMBAD_LINT"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* knob : knobs) {
+    const char* old = std::getenv(knob);
+    saved.push_back(old != nullptr ? std::optional<std::string>{old} : std::nullopt);
+    ::setenv(knob, "banana", 1);
+  }
+  std::optional<decltype(run())> garbled;
+  EXPECT_NO_THROW(garbled = run());
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) {
+      ::setenv(knobs[i], saved[i]->c_str(), 1);
+    } else {
+      ::unsetenv(knobs[i]);
+    }
+  }
+  ASSERT_TRUE(garbled.has_value());
+  EXPECT_EQ(*garbled, reference);
 }

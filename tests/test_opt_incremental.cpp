@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <utility>
 #include <vector>
@@ -33,13 +32,6 @@ namespace gen = symbad::gen;
 using symbad::verif::Rng;
 
 namespace {
-
-/// Optimizer options that keep the pipeline deterministic regardless of
-/// the SYMBAD_OPT* environment (tests must not depend on ambient knobs).
-opt::OptimizerOptions pinned_options() {
-  opt::OptimizerOptions o;  // defaults, not from_env
-  return o;
-}
 
 /// Same seeded random netlist generator as test_opt.cpp — the shared
 /// gen::random_netlist recipe (identical Rng stream, identical instances),
@@ -149,9 +141,8 @@ void expect_three_way_identical(const mc::ModelChecker& checker,
 
 TEST(IncSession, BaselineMatchesOneShotOptimizerRun) {
   const auto fsm = app::build_wrapper_fsm();
-  const opt::PreprocessSession session{fsm, pinned_options()};
-  ASSERT_TRUE(session.enabled());
-  const auto reference = opt::optimize(fsm, pinned_options());
+  const opt::PreprocessSession session{fsm, opt::OptimizerOptions{}};
+  const auto reference = opt::optimize(fsm, opt::OptimizerOptions{});
   EXPECT_EQ(session.baseline().netlist.gate_count(), reference.netlist.gate_count());
   EXPECT_EQ(session.baseline().gates_before(), reference.gates_before());
   EXPECT_EQ(session.baseline().gates_after(), reference.gates_after());
@@ -167,7 +158,7 @@ TEST(IncSession, BaselineMatchesOneShotOptimizerRun) {
 
 TEST(IncSession, SpliceExtendsBaselineAndSimulatesTheFault) {
   const auto fsm = app::build_wrapper_fsm();
-  const opt::PreprocessSession session{fsm, pinned_options()};
+  const opt::PreprocessSession session{fsm, opt::OptimizerOptions{}};
   const auto sites = sample_fault_sites(fsm, 4);
   ASSERT_GE(sites.size(), 2u);
   std::size_t served = 0;
@@ -210,7 +201,7 @@ TEST(IncSession, SpliceExtendsBaselineAndSimulatesTheFault) {
 
 TEST(IncSession, IncrementalOffFallsBackToFullRebuild) {
   const auto fsm = app::build_wrapper_fsm();
-  auto options = pinned_options();
+  opt::OptimizerOptions options;
   options.incremental = false;
   const opt::PreprocessSession session{fsm, options};
   const auto sites = sample_fault_sites(fsm, 1);
@@ -224,7 +215,7 @@ TEST(IncSession, IncrementalOffFallsBackToFullRebuild) {
 
   // The fallback is exactly the session-free per-fault path: a fresh
   // pipeline run with the faults baked in and the sweep off.
-  auto oneshot = pinned_options();
+  opt::OptimizerOptions oneshot;
   oneshot.faults = &faults;
   oneshot.sweep = false;
   const auto reference = opt::optimize(fsm, oneshot);
@@ -235,18 +226,12 @@ TEST(IncSession, IncrementalOffFallsBackToFullRebuild) {
 TEST(IncSession, ConstructionAndUseValidate) {
   const auto fsm = app::build_wrapper_fsm();
   const std::map<rtl::Net, bool> faults{{fsm.output("busy"), true}};
-  auto options = pinned_options();
+  opt::OptimizerOptions options;
   options.faults = &faults;  // faults belong to reoptimize, not the baseline
   EXPECT_THROW((opt::PreprocessSession{fsm, options}), std::invalid_argument);
 
-  auto disabled_options = pinned_options();
-  disabled_options.enabled = false;
-  const opt::PreprocessSession disabled{fsm, disabled_options};
-  EXPECT_FALSE(disabled.enabled());
-  EXPECT_THROW((void)disabled.reoptimize({}), std::logic_error);
-
   // mc rejects a session built over a different netlist...
-  const opt::PreprocessSession session{fsm, pinned_options()};
+  const opt::PreprocessSession session{fsm, opt::OptimizerOptions{}};
   const auto other = app::build_wrapper_fsm();
   const mc::ModelChecker checker{other};
   mc::ModelChecker::Options mc_opts{6, 3};
@@ -256,7 +241,7 @@ TEST(IncSession, ConstructionAndUseValidate) {
   EXPECT_THROW((void)checker.check(prop, mc_opts), std::invalid_argument);
 
   // ...and one that does not preserve an observed output.
-  auto narrow = pinned_options();
+  opt::OptimizerOptions narrow;
   narrow.preserve_outputs = {"busy"};
   const opt::PreprocessSession narrow_session{fsm, narrow};
   const mc::ModelChecker same{fsm};
@@ -269,8 +254,8 @@ TEST(IncSession, ConstructionAndUseValidate) {
 TEST(IncMc, WrapperFaultCampaignThreeWayIdentical) {
   const auto fsm = app::build_wrapper_fsm();
   const mc::ModelChecker checker{fsm};
-  const opt::PreprocessSession incremental{fsm, pinned_options()};
-  auto full_options = pinned_options();
+  const opt::PreprocessSession incremental{fsm, opt::OptimizerOptions{}};
+  opt::OptimizerOptions full_options;
   full_options.incremental = false;
   const opt::PreprocessSession full{fsm, full_options};
 
@@ -292,8 +277,8 @@ TEST(IncMc, WrapperFaultCampaignThreeWayIdentical) {
 TEST(IncMc, FaultFreeChecksServedFromTheCachedBaseline) {
   const auto fsm = app::build_wrapper_fsm();
   const mc::ModelChecker checker{fsm};
-  const opt::PreprocessSession session{fsm, pinned_options()};
-  auto full_options = pinned_options();
+  const opt::PreprocessSession session{fsm, opt::OptimizerOptions{}};
+  opt::OptimizerOptions full_options;
   full_options.incremental = false;
   const opt::PreprocessSession full{fsm, full_options};
   for (const auto& prop : app::wrapper_properties_extended()) {
@@ -309,8 +294,8 @@ TEST(IncFuzz, RandomNetlistFaultCampaignsThreeWayIdentical) {
     auto rng = symbad::test::rng(7000 + seed);
     const auto n = random_netlist(rng, 4, 3, 40, 2);
     const mc::ModelChecker checker{n};
-    const opt::PreprocessSession incremental{n, pinned_options()};
-    auto full_options = pinned_options();
+    const opt::PreprocessSession incremental{n, opt::OptimizerOptions{}};
+    opt::OptimizerOptions full_options;
     full_options.incremental = false;
     const opt::PreprocessSession full{n, full_options};
     const auto prop = mc::Property::invariant(
@@ -346,8 +331,8 @@ TEST(IncFuzz, GeneratedTierSweepThreeWayIdentical) {
       const std::uint64_t seed = cfg.seed_at(i);
       const auto n = gen::generate_netlist(seed, tier);
       const mc::ModelChecker checker{n};
-      const opt::PreprocessSession incremental{n, pinned_options()};
-      auto full_options = pinned_options();
+      const opt::PreprocessSession incremental{n, opt::OptimizerOptions{}};
+      opt::OptimizerOptions full_options;
       full_options.incremental = false;
       const opt::PreprocessSession full{n, full_options};
       const auto prop = mc::Property::invariant(
@@ -375,13 +360,10 @@ TEST(IncPcc, CoverageVerdictsIdenticalAcrossAllModes) {
   options.simulation_runs = 1;
   options.simulation_cycles = 16;
 
-  // Pinned via the env knob both ways (the ambient default may be either —
-  // CI re-runs this suite under SYMBAD_OPT_INCREMENTAL=0).
-  ::setenv("SYMBAD_OPT_INCREMENTAL", "1", 1);
   const auto incremental = pcc::check_property_coverage(fsm, props, options);
-  ::setenv("SYMBAD_OPT_INCREMENTAL", "0", 1);
-  const auto full = pcc::check_property_coverage(fsm, props, options);
-  ::unsetenv("SYMBAD_OPT_INCREMENTAL");
+  auto full_options = options;
+  full_options.incremental = false;
+  const auto full = pcc::check_property_coverage(fsm, props, full_options);
   auto off_options = options;
   off_options.optimize = false;
   const auto off = pcc::check_property_coverage(fsm, props, off_options);
@@ -418,7 +400,7 @@ TEST(IncPcc, CoverageVerdictsIdenticalAcrossAllModes) {
 
 TEST(IncAtpg, DetectabilityIdenticalWithSharedSession) {
   for (const auto& n : {app::build_wrapper_fsm(), app::build_distance_rtl(4, 8)}) {
-    auto session_options = pinned_options();
+    opt::OptimizerOptions session_options;
     session_options.keep_all_nets = true;  // the map must stay total
     const opt::PreprocessSession session{n, session_options};
 
@@ -472,7 +454,7 @@ TEST(IncAtpg, DetectabilityIdenticalWithSharedSession) {
 TEST(IncAtpg, SessionValidation) {
   const auto fsm = app::build_wrapper_fsm();
   // A dead-eliminating session (map not total) is rejected.
-  auto narrow = pinned_options();
+  opt::OptimizerOptions narrow;
   narrow.preserve_outputs = {"busy"};  // drops the other output cones
   const opt::PreprocessSession partial{fsm, narrow};
   ASSERT_FALSE(partial.baseline().map.total());
@@ -480,29 +462,15 @@ TEST(IncAtpg, SessionValidation) {
   EXPECT_THROW((atpg::SatEngine{fsm, options}), std::invalid_argument);
   // So is a session over a different netlist.
   const auto other = app::build_wrapper_fsm();
-  auto total = pinned_options();
+  opt::OptimizerOptions total;
   total.keep_all_nets = true;
   const opt::PreprocessSession foreign{other, total};
   options.session = &foreign;
   EXPECT_THROW((atpg::SatEngine{fsm, options}), std::invalid_argument);
-  // A disabled session falls through to the unoptimized encoding.
-  auto disabled_options = pinned_options();
-  disabled_options.enabled = false;
-  const opt::PreprocessSession disabled{fsm, disabled_options};
-  options.session = &disabled;
+  // With `optimize` off the session is not consulted: the unoptimized
+  // encoding needs no total map.
+  options.optimize = false;
+  options.session = &partial;
   const atpg::SatEngine engine{fsm, options};
   EXPECT_GT(engine.solver().variable_count(), 0);
-}
-
-// ------------------------------------------------------- environment knobs
-
-TEST(IncEnv, IncrementalKnobParsesStrictly) {
-  ::setenv("SYMBAD_OPT_INCREMENTAL", "banana", 1);
-  EXPECT_THROW(opt::OptimizerOptions::from_env(), std::invalid_argument);
-  ::setenv("SYMBAD_OPT_INCREMENTAL", "0", 1);
-  EXPECT_FALSE(opt::OptimizerOptions::from_env().incremental);
-  ::setenv("SYMBAD_OPT_INCREMENTAL", "1", 1);
-  EXPECT_TRUE(opt::OptimizerOptions::from_env().incremental);
-  ::unsetenv("SYMBAD_OPT_INCREMENTAL");
-  EXPECT_TRUE(opt::OptimizerOptions::from_env().incremental);  // default on
 }

@@ -176,15 +176,18 @@ TEST(Simulator, StuckAtFaultOverridesValue) {
 }
 
 TEST(Simulator, StepEvaluatesInputsSetSinceTheLastEval) {
-  // step() may skip its pre-clock evaluation only when nothing changed:
-  // inputs set without an explicit eval() must still reach the registers.
+  // Evaluation is lazy: inputs set without an explicit eval() must still
+  // reach the registers, and every read sees the current inputs and state.
   Netlist n;
   const Net a = n.add_input("a");
   const Net d = n.add_dff(false, "r");
-  n.connect_next(d, n.add_not(a));
+  const Net na = n.add_not(a);
+  n.connect_next(d, na);
   n.set_output("q", d);
+  n.set_output("na", na);
   Simulator sim{n};
   sim.set_input("a", true);
+  EXPECT_FALSE(sim.output("na"));
   sim.step();
   EXPECT_FALSE(sim.output("q"));
   sim.set_input("a", false);
@@ -196,6 +199,13 @@ TEST(Simulator, StepEvaluatesInputsSetSinceTheLastEval) {
   sim.clear_faults();
   sim.step();
   EXPECT_TRUE(sim.output("q"));
+  sim.force_state(0);
+  EXPECT_FALSE(sim.output("q"));
+  sim.force_state(1);
+  EXPECT_TRUE(sim.output("q"));
+  sim.reset();
+  EXPECT_FALSE(sim.output("q"));
+  EXPECT_TRUE(sim.output("na"));  // reset clears the inputs too
 }
 
 TEST(Simulator, StuckAtOnFlipFlopForcesOutputNotState) {

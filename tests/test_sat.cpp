@@ -4,10 +4,7 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sat/instances.hpp"
@@ -176,25 +173,34 @@ TEST(Sat, UnknownVariableThrows) {
 
 using sat::add_pigeonhole;  // shared generator (src/sat/instances.hpp)
 
-TEST(SatReduce, LearnedClauseCountStaysBounded) {
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 200;
-  opts.increment = 100;
-  s.set_reduce_options(opts);
-  add_pigeonhole(s, 7);
-  ASSERT_EQ(s.solve(), Result::unsat);
+/// The reduction and property suites run under the default compaction
+/// policy and with the arena compacted on every reduction pass: compaction
+/// relocates every clause ref, so verdicts and models must survive it.
+constexpr sat::CompactMode kCompactModes[] = {sat::CompactMode::automatic,
+                                              sat::CompactMode::always};
 
-  const auto& stats = s.statistics();
-  EXPECT_GT(stats.conflicts, 1000u);
-  EXPECT_GE(stats.db_reductions, 1u);
-  EXPECT_GT(stats.learned_removed, 0u);
-  // The live database stays far below the total ever learned ...
-  EXPECT_LT(s.learned_clause_count(), stats.learned_clauses / 2);
-  // ... and within the configured ceiling (plus glue/binary clauses, which
-  // reduction deliberately never touches).
-  EXPECT_LT(s.learned_clause_count(),
-            opts.base + stats.db_reductions * opts.increment + stats.learned_clauses / 4);
+TEST(SatReduce, LearnedClauseCountStaysBounded) {
+  for (const auto compact : kCompactModes) {
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 200;
+    opts.increment = 100;
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    add_pigeonhole(s, 7);
+    ASSERT_EQ(s.solve(), Result::unsat);
+
+    const auto& stats = s.statistics();
+    EXPECT_GT(stats.conflicts, 1000u);
+    EXPECT_GE(stats.db_reductions, 1u);
+    EXPECT_GT(stats.learned_removed, 0u);
+    // The live database stays far below the total ever learned ...
+    EXPECT_LT(s.learned_clause_count(), stats.learned_clauses / 2);
+    // ... and within the configured ceiling (plus glue/binary clauses,
+    // which reduction deliberately never touches).
+    EXPECT_LT(s.learned_clause_count(),
+              opts.base + stats.db_reductions * opts.increment + stats.learned_clauses / 4);
+  }
 }
 
 TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
@@ -214,12 +220,13 @@ TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
       }
       clauses.push_back(std::move(clause));
     }
-    auto solve_with = [&](bool reduce_enabled) {
+    auto solve_with = [&](bool reduce_enabled, sat::CompactMode compact) {
       Solver s;
       Solver::ReduceOptions opts;
       opts.enabled = reduce_enabled;
       opts.base = 20;  // aggressive: reduce constantly when enabled
       opts.increment = 10;
+      opts.compact = compact;
       s.set_reduce_options(opts);
       for (int i = 0; i < n; ++i) (void)s.new_var();
       for (const auto& clause : clauses) s.add_clause(clause);
@@ -235,7 +242,10 @@ TEST(SatReduce, VerdictsIdenticalWithReductionOnAndOff) {
       }
       return r;
     };
-    EXPECT_EQ(solve_with(false), solve_with(true)) << "seed " << seed;
+    const Result unreduced = solve_with(false, sat::CompactMode::automatic);
+    for (const auto compact : kCompactModes) {
+      EXPECT_EQ(unreduced, solve_with(true, compact)) << "seed " << seed;
+    }
   }
 }
 
@@ -249,43 +259,46 @@ TEST(SatReduce, DeletionWindowHasNoStaleReferences) {
   // longest life: solve -> reduce -> solve must re-walk the watch lists
   // rebuilt by the previous round. Run under CI's ASan and UBSan builds
   // (scripts/ci.sh steps 4/5), a silent use-after-free here becomes loud.
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 1;
-  opts.increment = 1;
-  opts.keep_lbd = 0;  // as aggressive as the policy allows
-  s.set_reduce_options(opts);
-  const Var g1 = s.new_var();
-  const Var g2 = s.new_var();
-  add_pigeonhole(s, 5, Lit::positive(g1));
-  add_pigeonhole(s, 6, Lit::positive(g2));
-  for (int round = 0; round < 8; ++round) {
-    switch (round % 4) {
-      case 0:
-        EXPECT_EQ(s.solve({Lit::negative(g1)}), Result::unsat) << round;
-        break;
-      case 1:
-        ASSERT_EQ(s.solve({Lit::negative(g2), Lit::positive(g1)}), Result::unsat)
-            << round;
-        break;
-      case 2:
-        ASSERT_EQ(s.solve(), Result::sat) << round;
-        EXPECT_TRUE(s.model_value(g1));
-        EXPECT_TRUE(s.model_value(g2));
-        break;
-      default:
-        // Add fresh clauses between solves so attach interleaves with the
-        // torn-down DB, then query again.
-        const Var extra = s.new_var();
-        EXPECT_TRUE(s.add_ternary(Lit::positive(extra), Lit::positive(g1),
-                                  Lit::positive(g2)));
-        EXPECT_EQ(s.solve({Lit::negative(extra), Lit::negative(g1)}), Result::unsat)
-            << round;
-        break;
+  for (const auto compact : kCompactModes) {
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 1;
+    opts.increment = 1;
+    opts.keep_lbd = 0;  // as aggressive as the policy allows
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    const Var g1 = s.new_var();
+    const Var g2 = s.new_var();
+    add_pigeonhole(s, 5, Lit::positive(g1));
+    add_pigeonhole(s, 6, Lit::positive(g2));
+    for (int round = 0; round < 8; ++round) {
+      switch (round % 4) {
+        case 0:
+          EXPECT_EQ(s.solve({Lit::negative(g1)}), Result::unsat) << round;
+          break;
+        case 1:
+          ASSERT_EQ(s.solve({Lit::negative(g2), Lit::positive(g1)}), Result::unsat)
+              << round;
+          break;
+        case 2:
+          ASSERT_EQ(s.solve(), Result::sat) << round;
+          EXPECT_TRUE(s.model_value(g1));
+          EXPECT_TRUE(s.model_value(g2));
+          break;
+        default:
+          // Add fresh clauses between solves so attach interleaves with the
+          // torn-down DB, then query again.
+          const Var extra = s.new_var();
+          EXPECT_TRUE(s.add_ternary(Lit::positive(extra), Lit::positive(g1),
+                                    Lit::positive(g2)));
+          EXPECT_EQ(s.solve({Lit::negative(extra), Lit::negative(g1)}), Result::unsat)
+              << round;
+          break;
+      }
     }
+    EXPECT_GE(s.statistics().db_reductions, 2u);
+    EXPECT_GT(s.statistics().learned_removed, 0u);
   }
-  EXPECT_GE(s.statistics().db_reductions, 2u);
-  EXPECT_GT(s.statistics().learned_removed, 0u);
 }
 
 TEST(SatReduce, IncrementalSolvesStayCorrectUnderAggressiveReduction) {
@@ -295,24 +308,27 @@ TEST(SatReduce, IncrementalSolvesStayCorrectUnderAggressiveReduction) {
   // between solves (binary and glue <= keep_lbd learned clauses are exempt
   // from deletion by design — deleting them would break the asserting-
   // reason invariants this sweep leans on).
-  Solver s;
-  Solver::ReduceOptions opts;
-  opts.base = 1;
-  opts.increment = 1;
-  opts.keep_lbd = 2;
-  s.set_reduce_options(opts);
-  const Var g = s.new_var();
-  add_pigeonhole(s, 6, Lit::positive(g));
-  for (int round = 0; round < 6; ++round) {
-    if (round % 2 == 0) {
-      EXPECT_EQ(s.solve({Lit::negative(g)}), Result::unsat) << "round " << round;
-    } else {
-      ASSERT_EQ(s.solve(), Result::sat) << "round " << round;
-      EXPECT_TRUE(s.model_value(g));
+  for (const auto compact : kCompactModes) {
+    Solver s;
+    Solver::ReduceOptions opts;
+    opts.base = 1;
+    opts.increment = 1;
+    opts.keep_lbd = 2;
+    opts.compact = compact;
+    s.set_reduce_options(opts);
+    const Var g = s.new_var();
+    add_pigeonhole(s, 6, Lit::positive(g));
+    for (int round = 0; round < 6; ++round) {
+      if (round % 2 == 0) {
+        EXPECT_EQ(s.solve({Lit::negative(g)}), Result::unsat) << "round " << round;
+      } else {
+        ASSERT_EQ(s.solve(), Result::sat) << "round " << round;
+        EXPECT_TRUE(s.model_value(g));
+      }
     }
+    EXPECT_GE(s.statistics().db_reductions, 1u);
+    EXPECT_GT(s.statistics().learned_removed, 0u);
   }
-  EXPECT_GE(s.statistics().db_reductions, 1u);
-  EXPECT_GT(s.statistics().learned_removed, 0u);
 }
 
 // ---------------------------------------------- incremental statistics
@@ -383,43 +399,46 @@ TEST(SatStats, RootValueReflectsRootAssignments) {
 class SatPlanted : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SatPlanted, PlantedInstanceSolvedAndModelValid) {
-  auto rng = symbad::test::rng(GetParam());
-  const int n = 40;
-  const int m = 160;
+  for (const auto compact : kCompactModes) {
+    auto rng = symbad::test::rng(GetParam());
+    const int n = 40;
+    const int m = 160;
 
-  Solver s;
-  std::vector<Var> vars;
-  std::vector<bool> planted;
-  for (int i = 0; i < n; ++i) {
-    vars.push_back(s.new_var());
-    planted.push_back((rng.next() & 1) != 0);
-  }
-  std::vector<std::vector<Lit>> clauses;
-  for (int c = 0; c < m; ++c) {
-    std::vector<Lit> clause;
-    bool satisfied_by_planted = false;
-    for (int k = 0; k < 3; ++k) {
-      const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-      const bool neg = (rng.next() & 1) != 0;
-      clause.push_back(Lit{vars[static_cast<std::size_t>(v)], neg});
-      if (planted[static_cast<std::size_t>(v)] != neg) satisfied_by_planted = true;
+    Solver s;
+    s.set_reduce_options({.compact = compact});
+    std::vector<Var> vars;
+    std::vector<bool> planted;
+    for (int i = 0; i < n; ++i) {
+      vars.push_back(s.new_var());
+      planted.push_back((rng.next() & 1) != 0);
     }
-    if (!satisfied_by_planted) {
-      // Flip one literal's polarity so the planted assignment satisfies it.
-      const auto v = clause[0].var();
-      clause[0] = Lit{v, !planted[static_cast<std::size_t>(v)]};
+    std::vector<std::vector<Lit>> clauses;
+    for (int c = 0; c < m; ++c) {
+      std::vector<Lit> clause;
+      bool satisfied_by_planted = false;
+      for (int k = 0; k < 3; ++k) {
+        const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+        const bool neg = (rng.next() & 1) != 0;
+        clause.push_back(Lit{vars[static_cast<std::size_t>(v)], neg});
+        if (planted[static_cast<std::size_t>(v)] != neg) satisfied_by_planted = true;
+      }
+      if (!satisfied_by_planted) {
+        // Flip one literal's polarity so the planted assignment satisfies it.
+        const auto v = clause[0].var();
+        clause[0] = Lit{v, !planted[static_cast<std::size_t>(v)]};
+      }
+      s.add_clause(clause);
+      clauses.push_back(std::move(clause));
     }
-    s.add_clause(clause);
-    clauses.push_back(std::move(clause));
-  }
 
-  ASSERT_EQ(s.solve(), Result::sat);
-  for (const auto& clause : clauses) {
-    bool satisfied = false;
-    for (const Lit l : clause) {
-      if (s.model_value(l.var()) != l.negated()) satisfied = true;
+    ASSERT_EQ(s.solve(), Result::sat);
+    for (const auto& clause : clauses) {
+      bool satisfied = false;
+      for (const Lit l : clause) {
+        if (s.model_value(l.var()) != l.negated()) satisfied = true;
+      }
+      EXPECT_TRUE(satisfied);
     }
-    EXPECT_TRUE(satisfied);
   }
 }
 
@@ -431,34 +450,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SatPlanted, ::testing::Range(1u, 33u));
 class SatRandomHard : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SatRandomHard, ModelsAreAlwaysValid) {
-  auto rng = symbad::test::rng(GetParam() * 977u);
-  const int n = 30;
-  const int m = 128;  // ratio ~4.26: phase transition
+  for (const auto compact : kCompactModes) {
+    auto rng = symbad::test::rng(GetParam() * 977u);
+    const int n = 30;
+    const int m = 128;  // ratio ~4.26: phase transition
 
-  Solver s;
-  std::vector<Var> vars;
-  for (int i = 0; i < n; ++i) vars.push_back(s.new_var());
-  std::vector<std::vector<Lit>> clauses;
-  for (int c = 0; c < m; ++c) {
-    std::vector<Lit> clause;
-    for (int k = 0; k < 3; ++k) {
-      clause.push_back(Lit{vars[rng.below(static_cast<std::uint64_t>(n))],
-                           (rng.next() & 1) != 0});
-    }
-    s.add_clause(clause);
-    clauses.push_back(std::move(clause));
-  }
-  const Result r = s.solve();
-  if (r == Result::sat) {
-    for (const auto& clause : clauses) {
-      bool satisfied = false;
-      for (const Lit l : clause) {
-        if (s.model_value(l.var()) != l.negated()) satisfied = true;
+    Solver s;
+    s.set_reduce_options({.compact = compact});
+    std::vector<Var> vars;
+    for (int i = 0; i < n; ++i) vars.push_back(s.new_var());
+    std::vector<std::vector<Lit>> clauses;
+    for (int c = 0; c < m; ++c) {
+      std::vector<Lit> clause;
+      for (int k = 0; k < 3; ++k) {
+        clause.push_back(Lit{vars[rng.below(static_cast<std::uint64_t>(n))],
+                             (rng.next() & 1) != 0});
       }
-      EXPECT_TRUE(satisfied);
+      s.add_clause(clause);
+      clauses.push_back(std::move(clause));
     }
-  } else {
-    EXPECT_EQ(r, Result::unsat);
+    const Result r = s.solve();
+    if (r == Result::sat) {
+      for (const auto& clause : clauses) {
+        bool satisfied = false;
+        for (const Lit l : clause) {
+          if (s.model_value(l.var()) != l.negated()) satisfied = true;
+        }
+        EXPECT_TRUE(satisfied);
+      }
+    } else {
+      EXPECT_EQ(r, Result::unsat);
+    }
   }
 }
 
@@ -553,22 +575,6 @@ void expect_identical_runs(const ArenaRunRecord& a, const ArenaRunRecord& b) {
   EXPECT_EQ(a.arena_live, b.arena_live);
 }
 
-/// Save/restore guard for one environment variable.
-struct CompactEnvGuard {
-  CompactEnvGuard() {
-    if (const char* v = std::getenv(kName)) saved_ = v;
-  }
-  ~CompactEnvGuard() {
-    if (saved_) {
-      ::setenv(kName, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-  static constexpr const char* kName = "SYMBAD_SAT_COMPACT";
-  std::optional<std::string> saved_;
-};
-
 }  // namespace
 
 TEST(SatArena, CompactionForcedVsNeverIsBitIdentical) {
@@ -658,21 +664,4 @@ TEST(SatArena, AddClauseStaysOffTheAllocatorOnceWarm) {
 
   EXPECT_GT(s.problem_clause_count(), warm_clauses + kBatch / 2);
   EXPECT_LT(allocations, 64u) << "for " << kBatch << " clauses";
-}
-
-TEST(SatArena, CompactEnvKnobIsStrictAndSelectsTheMode) {
-  const CompactEnvGuard guard;
-  for (const char* bad : {"abc", "3", "-1", " 1", "1x", ""}) {
-    ::setenv(CompactEnvGuard::kName, bad, 1);
-    EXPECT_THROW((void)Solver{}, std::invalid_argument) << '"' << bad << '"';
-  }
-  // 2 = always, 0 = never, resolved through ReduceOptions::env_default —
-  // and the choice must not leak into solver behaviour.
-  ::setenv(CompactEnvGuard::kName, "2", 1);
-  const auto forced = run_arena_workload(sat::CompactMode::env_default);
-  ::setenv(CompactEnvGuard::kName, "0", 1);
-  const auto never = run_arena_workload(sat::CompactMode::env_default);
-  EXPECT_GT(forced.final_stats.arena_compactions, 0u);
-  EXPECT_EQ(never.final_stats.arena_compactions, 0u);
-  expect_identical_runs(never, forced);
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "app/sw_source.hpp"
 #include "support/test_util.hpp"
 #include "symbc/checker.hpp"
@@ -135,6 +138,37 @@ TEST(SymbcParser, SyntaxErrorsThrowWithLine) {
   EXPECT_THROW((void)symbc::parse_program("void f( {", "fpga_load"),
                std::runtime_error);
   EXPECT_THROW((void)symbc::parse_program("void f() { if x) {} }", "fpga_load"),
+               std::runtime_error);
+}
+
+TEST(SymbcParser, NestingDepthIsBounded) {
+  const auto nested_ifs = [](int levels) {
+    std::string src = "void main() {\n";
+    for (int i = 0; i < levels; ++i) src += "if (x) {\n";
+    src += "fpga_load(config2); root();\n";
+    for (int i = 0; i < levels; ++i) src += "}\n";
+    return src + "}\n";
+  };
+  symbc::ConfigSpec spec;
+  spec.contexts["config2"] = {"root"};
+  // 20,000 levels used to overflow the recursive-descent stack; now it is
+  // an ordinary line-tagged syntax error.
+  try {
+    (void)symbc::check_source(nested_ifs(20000), spec);
+    FAIL() << "20,000-deep nesting parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("symbc parser (line "), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string{e.what()}.find("nested deeper"), std::string::npos) << e.what();
+  }
+  // Each `if (x) {` is two levels (the if and its compound body); the
+  // deepest nesting that fits still parses and checks.
+  const auto deepest = nested_ifs(symbc::kMaxNestingDepth / 2 - 1);
+  const auto result = symbc::check_source(deepest, spec);
+  EXPECT_TRUE(result.consistent);
+  ASSERT_EQ(result.certificate.size(), 1u);
+  EXPECT_EQ(result.certificate[0].function, "root");
+  EXPECT_THROW((void)symbc::check_source(nested_ifs(symbc::kMaxNestingDepth / 2 + 1), spec),
                std::runtime_error);
 }
 
