@@ -5,10 +5,12 @@
 // committed seed corpus (tests/corpus/manifest.txt golden digests: the
 // generator rows, plus evaluator rows pinning SAT-sweep merges, semantic
 // lint const nets and simulator traces over the corpus and the case-study
-// RTL blocks).
+// RTL blocks, and closure rows pinning backward and forward cones with the
+// laws that tie them together).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -31,6 +33,7 @@
 #include "lint/lint.hpp"
 #include "media/database.hpp"
 #include "opt/sweep.hpp"
+#include "rtl/cone.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
 
@@ -488,6 +491,7 @@ namespace {
 constexpr const char* kManifestPath = SYMBAD_GEN_CORPUS_DIR "/manifest.txt";
 constexpr int kCorpusSeedsPerTier = 4;
 constexpr const char* kEvalRowTag = "eval";
+constexpr const char* kConeRowTag = "cone";
 
 std::string render_manifest() {
   // Format (one design point per line, fixed field order — the corpus
@@ -582,34 +586,126 @@ std::string render_eval_row(const std::string& design, const rtl::Netlist& n) {
   return out.str();
 }
 
-std::string render_eval_rows() {
+/// The netlists every evaluator and closure row covers: the generated
+/// corpus, then the case-study RTL blocks.
+std::vector<std::pair<std::string, rtl::Netlist>> corpus_designs() {
   const gen::SweepConfig cfg;
-  std::string rows;
+  std::vector<std::pair<std::string, rtl::Netlist>> designs;
   for (const auto tier : kAllTiers) {
     for (int i = 0; i < kCorpusSeedsPerTier; ++i) {
       const auto seed = cfg.seed_at(i);
-      rows += render_eval_row(
+      designs.emplace_back(
           "gen:" + std::to_string(static_cast<int>(tier)) + ":" + std::to_string(seed),
           gen::generate_netlist(seed, tier));
     }
   }
-  rows += render_eval_row("root", app::build_root_rtl());
-  rows += render_eval_row("wrapper", app::build_wrapper_fsm());
-  rows += render_eval_row("distance", app::build_distance_rtl());
+  designs.emplace_back("root", app::build_root_rtl());
+  designs.emplace_back("wrapper", app::build_wrapper_fsm());
+  designs.emplace_back("distance", app::build_distance_rtl());
+  return designs;
+}
+
+std::string render_eval_rows() {
+  std::string rows;
+  for (const auto& [design, netlist] : corpus_designs()) {
+    rows += render_eval_row(design, netlist);
+  }
   return rows;
 }
 
-/// The committed manifest split into generator rows and evaluator rows.
-std::pair<std::string, std::string> read_manifest() {
+/// The backward cone of influence of `roots`.
+std::vector<char> backward_cone(const rtl::Netlist& n, const std::vector<rtl::Net>& roots) {
+  return n.cone_of_influence(roots);
+}
+
+/// The forward cone tracer over `n`.
+rtl::ConeTracer forward_tracer(const rtl::Netlist& n) { return rtl::ConeTracer{n}; }
+
+/// Folds the marked nets of `marks` into `d`; returns how many there are.
+std::size_t digest_marks(Fnv& d, const std::vector<char>& marks) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < marks.size(); ++i) {
+    if (marks[i] == 0) continue;
+    d.u64(i);
+    ++count;
+  }
+  return count;
+}
+
+/// One closure row: the structural cones the formal engines and lint read,
+/// pinned so a traversal rewrite cannot move them. Fields: the backward
+/// cone of every output; the forward closure of the input-kind gates; and
+/// the per-frame forward cones over D+2 frames (D flip-flops) of the first,
+/// middle and last fault site ("-" when the design has none).
+std::string render_cone_row(const std::string& design, const rtl::Netlist& n) {
+  std::vector<rtl::Net> outputs;
+  for (const auto& [name, net] : n.outputs()) outputs.push_back(net);
+  std::vector<rtl::Net> inputs;
+  std::vector<rtl::Net> sites;
+  for (std::size_t i = 0; i < n.gate_count(); ++i) {
+    const auto kind = n.gate(static_cast<rtl::Net>(i)).kind;
+    if (kind == rtl::GateKind::input) inputs.push_back(static_cast<rtl::Net>(i));
+    if (rtl::is_fault_site(kind)) sites.push_back(static_cast<rtl::Net>(i));
+  }
+  const rtl::ConeTracer tracer = forward_tracer(n);
+  const int frames = static_cast<int>(n.flip_flops().size()) + 2;
+
+  Fnv coi;
+  const std::size_t coi_count = digest_marks(coi, backward_cone(n, outputs));
+  Fnv fwd;
+  const std::size_t fwd_count = digest_marks(fwd, tracer.fault_cone_closure(inputs));
+  std::ostringstream out;
+  out << kConeRowTag << ' ' << design << std::hex << " coi=" << coi.h << std::dec << '/'
+      << coi_count << std::hex << " fwd=" << fwd.h << std::dec << '/' << fwd_count
+      << " frames=";
+  if (sites.empty()) {
+    out << "-\n";
+    return out.str();
+  }
+  const std::array<rtl::Net, 3> picks{sites.front(), sites[sites.size() / 2], sites.back()};
+  for (std::size_t p = 0; p < picks.size(); ++p) {
+    Fnv d;
+    std::size_t marked = 0;
+    for (const auto& frame : tracer.fault_cones(picks[p], frames)) {
+      marked += digest_marks(d, frame);
+      d.u64(~0ULL);  // frame separator
+    }
+    out << (p == 0 ? "" : "/") << std::hex << d.h << std::dec << ':' << marked;
+  }
+  out << '\n';
+  return out.str();
+}
+
+std::string render_cone_rows() {
+  std::string rows;
+  for (const auto& [design, netlist] : corpus_designs()) {
+    rows += render_cone_row(design, netlist);
+  }
+  return rows;
+}
+
+/// The committed manifest split by row kind.
+struct Manifest {
+  std::string generator;
+  std::string evaluator;
+  std::string closure;
+};
+
+Manifest read_manifest() {
   std::ifstream in{kManifestPath};
   EXPECT_TRUE(in.good()) << "missing " << kManifestPath
                          << " — run test_gen with SYMBAD_GEN_CORPUS_WRITE=1 to record";
-  std::string generator;
-  std::string evaluator;
+  Manifest m;
   for (std::string line; std::getline(in, line);) {
-    (line.starts_with(kEvalRowTag) ? evaluator : generator) += line + '\n';
+    if (line.starts_with(kEvalRowTag)) {
+      m.evaluator += line + '\n';
+    } else if (line.starts_with(kConeRowTag)) {
+      m.closure += line + '\n';
+    } else {
+      m.generator += line + '\n';
+    }
   }
-  return {generator, evaluator};
+  return m;
 }
 
 }  // namespace
@@ -619,12 +715,12 @@ TEST(GenCorpus, ManifestMatchesRegeneratedDigests) {
   if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
     std::ofstream out{kManifestPath, std::ios::trunc};
     ASSERT_TRUE(out.good()) << "cannot write " << kManifestPath;
-    out << fresh << render_eval_rows();
+    out << fresh << render_eval_rows() << render_cone_rows();
     ASSERT_TRUE(out.good());
     SUCCEED() << "corpus manifest re-recorded";
     return;
   }
-  EXPECT_EQ(read_manifest().first, fresh)
+  EXPECT_EQ(read_manifest().generator, fresh)
       << "generator drift: the recipe no longer reproduces tests/corpus/"
          "manifest.txt. If the change is intentional, re-record with "
          "SYMBAD_GEN_CORPUS_WRITE=1 ./test_gen and commit the new manifest.";
@@ -634,8 +730,45 @@ TEST(GenCorpus, EvaluatorRowsMatchManifest) {
   if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
     GTEST_SKIP() << "recording run: ManifestMatchesRegeneratedDigests writes the rows";
   }
-  EXPECT_EQ(read_manifest().second, render_eval_rows())
+  EXPECT_EQ(read_manifest().evaluator, render_eval_rows())
       << "evaluator drift: SAT-sweep merges, semantic-lint const nets or "
          "simulator traces over the corpus moved. These are pinned — a change "
          "to how netlists are evaluated must leave them bit-identical.";
+}
+
+TEST(GenCorpus, ClosureRowsMatchManifest) {
+  if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
+    GTEST_SKIP() << "recording run: ManifestMatchesRegeneratedDigests writes the rows";
+  }
+  EXPECT_EQ(read_manifest().closure, render_cone_rows())
+      << "closure drift: a backward cone of influence, a forward fault-cone "
+         "closure or a per-frame fault cone over the corpus moved. These are "
+         "pinned — a change to how cones are traced must leave them "
+         "bit-identical.";
+}
+
+TEST(GenCorpus, ForwardAndBackwardClosuresAgree) {
+  // Two laws over every corpus design and every net j:
+  //  * the per-frame fault cones only grow, so after D+2 frames (D
+  //    flip-flops) the last frame is the frame-independent closure;
+  //  * duality: r is in the forward closure of j iff j is in the backward
+  //    cone of influence of r.
+  for (const auto& [design, n] : corpus_designs()) {
+    SCOPED_TRACE(design);
+    const rtl::ConeTracer tracer = forward_tracer(n);
+    const auto count = static_cast<rtl::Net>(n.gate_count());
+    const int frames = static_cast<int>(n.flip_flops().size()) + 2;
+    std::vector<std::vector<char>> backward;
+    backward.reserve(n.gate_count());
+    for (rtl::Net r = 0; r < count; ++r) backward.push_back(backward_cone(n, {r}));
+    for (rtl::Net j = 0; j < count; ++j) {
+      const auto closure = tracer.fault_cone_closure({j});
+      ASSERT_EQ(tracer.fault_cones(j, frames).back(), closure) << "net " << j;
+      for (rtl::Net r = 0; r < count; ++r) {
+        ASSERT_EQ(closure[static_cast<std::size_t>(r)] != 0,
+                  backward[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)] != 0)
+            << "forward " << j << " -> " << r;
+      }
+    }
+  }
 }

@@ -200,6 +200,159 @@ TEST(LintStructural, NL008AutonomousRegister) {
   EXPECT_NE(report.to_string().find("NL008"), std::string::npos);
 }
 
+namespace {
+
+/// Detail of the single finding of `rule` on `v`, or "" when it is absent.
+std::string finding_detail(const lint::NetlistView& v, Rule rule) {
+  const auto report = lint::Linter{}.analyze(v);
+  EXPECT_LE(report.count(rule), 1u) << report.to_string();
+  for (const auto& f : report.findings) {
+    if (f.rule == rule) return f.detail;
+  }
+  return "";
+}
+
+std::string dangling(std::size_t count, int first) {
+  return std::to_string(count) + " gates outside every output cone (first: net " +
+         std::to_string(first) + ")";
+}
+
+std::string autonomous(std::size_t count, int first) {
+  return std::to_string(count) +
+         " registers whose next state never depends on a primary input (first: net " +
+         std::to_string(first) + ")";
+}
+
+rtl::Gate gate(rtl::GateKind kind, rtl::Net a = -1, rtl::Net b = -1) {
+  return rtl::Gate{kind, a, b, -1, false};
+}
+
+/// in -> r1 -> r2 -> r3: every register fed by the input through the chain.
+lint::NetlistView register_chain() {
+  lint::NetlistView v;
+  v.gates = {gate(rtl::GateKind::input), gate(rtl::GateKind::dff, 0),
+             gate(rtl::GateKind::dff, 1), gate(rtl::GateKind::dff, 2)};
+  v.inputs = {0};
+  v.dffs = {1, 2, 3};
+  v.outputs["o"] = 3;
+  return v;
+}
+
+/// r1 -> r2 -> not -> r1, beside an input that feeds only an output.
+lint::NetlistView register_cycle() {
+  lint::NetlistView v;
+  v.gates = {gate(rtl::GateKind::input), gate(rtl::GateKind::dff, 3),
+             gate(rtl::GateKind::dff, 1), gate(rtl::GateKind::not_gate, 2),
+             gate(rtl::GateKind::and_gate, 0, 2)};
+  v.inputs = {0};
+  v.dffs = {1, 2};
+  v.outputs["o"] = 4;
+  return v;
+}
+
+/// and(a, b) observed; or(a, b) and a register latching it are not.
+lint::NetlistView dangling_fixture() {
+  lint::NetlistView v;
+  v.gates = {gate(rtl::GateKind::input), gate(rtl::GateKind::input),
+             gate(rtl::GateKind::and_gate, 0, 1), gate(rtl::GateKind::or_gate, 0, 1),
+             gate(rtl::GateKind::dff, 3)};
+  v.inputs = {0, 1};
+  v.dffs = {4};
+  v.outputs["o"] = 2;
+  return v;
+}
+
+}  // namespace
+
+TEST(LintStructural, NL007CountsLogicOutsideEveryOutputCone) {
+  EXPECT_EQ(finding_detail(dangling_fixture(), Rule::dangling_logic), dangling(2, 3));
+  {
+    // Observing the register pulls in its next-state logic.
+    auto v = dangling_fixture();
+    v.outputs["q"] = 4;
+    EXPECT_EQ(finding_detail(v, Rule::dangling_logic), "");
+  }
+  {
+    // An output bound outside the netlist is skipped (NL001 reports it).
+    auto v = dangling_fixture();
+    v.outputs["bad"] = 99;
+    EXPECT_EQ(finding_detail(v, Rule::dangling_logic), dangling(2, 3));
+  }
+  {
+    // An out-of-range operand is skipped; the in-range one still counts.
+    auto v = dangling_fixture();
+    v.gates[2].b = 99;
+    EXPECT_EQ(finding_detail(v, Rule::dangling_logic), dangling(2, 3));
+  }
+  {
+    // A gate of unknown kind is neither walked through nor counted.
+    auto v = dangling_fixture();
+    v.gates.push_back(rtl::Gate{static_cast<rtl::GateKind>(250), 4, -1, -1, false});
+    v.outputs["p"] = 5;
+    EXPECT_EQ(finding_detail(v, Rule::dangling_logic), dangling(2, 3));
+  }
+}
+
+TEST(LintStructural, NL008InputFedChainAndRegisterOnlyCycle) {
+  EXPECT_EQ(finding_detail(register_chain(), Rule::autonomous_register), "");
+  EXPECT_EQ(finding_detail(register_cycle(), Rule::autonomous_register),
+            autonomous(2, 1));
+}
+
+TEST(LintStructural, NL008MalformedViews) {
+  {
+    // Every list entry counts, duplicates included.
+    auto v = register_cycle();
+    v.dffs = {1, 2, 1};
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(3, 1));
+    auto chain = register_chain();
+    chain.dffs = {1, 2, 3, 1};
+    EXPECT_EQ(finding_detail(chain, Rule::autonomous_register), "");
+  }
+  {
+    // Only listed registers cross: r2 cannot see the input through an
+    // unlisted r1, and r3 inherits that.
+    auto v = register_chain();
+    v.dffs = {2, 3};
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(2, 2));
+  }
+  {
+    // A listed net that is not a flip-flop counts as autonomous, even an
+    // input.
+    auto v = register_chain();
+    v.dffs = {1, 2, 3, 0};
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(1, 0));
+  }
+  {
+    // A flip-flop whose next-state is out of range is autonomous, and so
+    // is everything it alone feeds.
+    auto v = register_chain();
+    v.gates[1].a = 99;
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(3, 1));
+  }
+  {
+    // A gate of unknown kind passes no dependence on.
+    auto v = register_chain();
+    v.gates.push_back(rtl::Gate{static_cast<rtl::GateKind>(250), 0, -1, -1, false});
+    v.gates[1].a = 4;
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(3, 1));
+  }
+  {
+    // Any listed net out of range skips the rule.
+    auto v = register_cycle();
+    v.dffs = {1, 2, 99};
+    const auto report = lint::Linter{}.analyze(v);
+    EXPECT_FALSE(report.has(Rule::autonomous_register)) << report.to_string();
+    EXPECT_TRUE(report.has(Rule::operand_range));
+  }
+  {
+    // `first` follows list order.
+    auto v = register_cycle();
+    v.dffs = {2, 1};
+    EXPECT_EQ(finding_detail(v, Rule::autonomous_register), autonomous(2, 2));
+  }
+}
+
 TEST(LintStructural, SuppressionSkipsRuleAndCounter) {
   auto v = clean_view();
   v.gates.push_back(rtl::Gate{rtl::GateKind::or_gate, 0, 1, -1, false});
