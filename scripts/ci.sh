@@ -3,10 +3,10 @@
 # pass over the unit label, an AddressSanitizer configure/build/ctest pass
 # with the threaded campaign runner explicitly exercised at 4 workers, a
 # perf-regression pass over the SAT/MC/opt/kernel/lint benches against the
-# committed BENCH_BASELINE.json, an UndefinedBehaviorSanitizer pass over
-# the SAT core (the clause arena lives on raw offset arithmetic — UBSan is
-# the cheapest way to catch a bad ref before it corrupts a verdict) and the
-# netlist suites (64-lane evaluator words, packed state/input shifts), a
+# committed BENCH_BASELINE.json, an UndefinedBehaviorSanitizer build + full
+# ctest (the clause arena lives on raw offset arithmetic and the netlist
+# evaluator on 64-lane words and packed shifts — UBSan is the cheapest way
+# to catch a bad ref or shift before it corrupts a verdict), a
 # ThreadSanitizer pass over the threaded campaign/generator suites, and an
 # opt-in clang-tidy sweep (skipped when the tool is not installed).
 # Timings are warn-only (this runs on a shared 1-core host where wall-clock
@@ -65,17 +65,13 @@ SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_exec
 # the span flush path under concurrent workers).
 SYMBAD_OBS=2 SYMBAD_CAMPAIGN_WORKERS=4 ./build-asan/test_obs
 
-echo "==> [6/8] UndefinedBehaviorSanitizer: SAT core (arena offset/shift"
-echo "    arithmetic, header bit packing) and the netlist word/shift/mask"
-echo "    code (evaluator, packed simulator state, explicit-state MC)"
+echo "==> [6/8] UndefinedBehaviorSanitizer build + full ctest (benches off:"
+echo "    they are not ctest cases)"
 # Any UB report fails the step (UBSan only prints and continues by default).
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
-SYMBAD_SANITIZE=undefined cmake -B build-ubsan -S .
-cmake --build build-ubsan -j "$JOBS" --target test_sat test_rtl test_opt \
-  test_opt_incremental test_lint test_mc_pcc test_flow
-for _suite in test_sat test_rtl test_opt test_opt_incremental test_lint test_mc_pcc test_flow; do
-  "./build-ubsan/$_suite"
-done
+SYMBAD_SANITIZE=undefined cmake -B build-ubsan -S . -DSYMBAD_BUILD_BENCH=OFF
+cmake --build build-ubsan -j "$JOBS"
+ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 
 echo "==> [7/8] ThreadSanitizer: campaign worker pool + generator sweeps"
 echo "    (the only threaded subsystem is exec::CampaignRunner — TSan the"

@@ -204,7 +204,7 @@ SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
     : netlist_{&netlist},
       options_{options},
       encoder_{netlist, solver_},
-      cones_{netlist} {
+      cones_{netlist.gates(), netlist.flip_flops()} {
   // The good unrolling is shared by every fault and encoded exactly once —
   // from the optimized netlist when preprocessing is on, with every frame
   // translated back to original-net indexing through the (total) NetMap.
@@ -255,15 +255,14 @@ SatEngine::SatEngine(const rtl::Netlist& netlist, Options options)
 }
 
 std::optional<SatTest> SatEngine::generate(rtl::Net fault_net, bool stuck_to) {
-  const std::map<rtl::Net, bool> faults{{fault_net, stuck_to}};
-  const sat::Var first_var = solver_.variable_count();
-  const sat::Lit act = sat::Lit::positive(solver_.new_var());
-
   // Faulty copy plus output miter, every clause gated behind `act`. Only
   // the fault's fanout cone is re-encoded; everything else reuses the good
   // copy's literals, so out-of-cone outputs cannot differ and need no
   // miter XOR.
   const auto cone = cones_.fault_cones(fault_net, options_.unroll);
+  const std::map<rtl::Net, bool> faults{{fault_net, stuck_to}};
+  const sat::Var first_var = solver_.variable_count();
+  const sat::Lit act = sat::Lit::positive(solver_.new_var());
   std::vector<rtl::Frame> bad;
   std::vector<sat::Lit> diff_clause{~act};
   for (int f = 0; f < options_.unroll; ++f) {

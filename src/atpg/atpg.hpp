@@ -188,9 +188,9 @@ private:
   Options options_;
   sat::Solver solver_;
   rtl::CnfEncoder encoder_;  ///< encodes the faulty copies (original netlist)
-  /// Shared forward-cone traversal (rtl::ConeTracer): cones_.fault_cones()
-  /// tells which nets per frame can differ from the good copy — only those
-  /// are re-encoded per fault.
+  /// Forward closure over the original netlist, built once and queried per
+  /// fault: cones_.fault_cones() tells which nets per frame can differ
+  /// from the good copy — only those are re-encoded.
   rtl::ConeTracer cones_;
   /// Good-copy frames in *original* netlist indexing. With preprocessing
   /// on, these are the optimized encoding's literals translated through

@@ -7,6 +7,7 @@
 
 #include "obs/obs.hpp"
 #include "rtl/cnf.hpp"
+#include "rtl/cone.hpp"
 #include "sat/solver.hpp"
 #include "verif/rng.hpp"
 
@@ -99,6 +100,22 @@ ConstProof prove_constants(const rtl::Netlist& n, int rounds, std::uint64_t seed
   if (k == GateKind::const0) return 0;
   if (k == GateKind::const1) return 1;
   return proven[static_cast<std::size_t>(net)];
+}
+
+/// Stuck-at sites no property over the roots of `cone` can see: both
+/// polarities of a fault site outside the cone, the proven value of one
+/// inside. Returns the count and the lowest such net (-1 when none).
+[[nodiscard]] std::pair<std::size_t, Net> undetectable_sites(
+    const rtl::Netlist& n, const std::vector<char>& cone,
+    const std::vector<signed char>& proven) {
+  std::pair<std::size_t, Net> sites{0, -1};
+  for (std::size_t i = 0; i < n.gate_count(); ++i) {
+    if (!rtl::is_fault_site(n.gate(static_cast<Net>(i)).kind)) continue;
+    const std::size_t here = cone[i] == 0 ? 2 : proven[i] >= 0 ? 1 : 0;
+    if (here > 0 && sites.second < 0) sites.second = static_cast<Net>(i);
+    sites.first += here;
+  }
+  return sites;
 }
 
 }  // namespace
@@ -211,10 +228,7 @@ std::string LintReport::to_string() const {
 NetlistView NetlistView::of(const rtl::Netlist& netlist) {
   NetlistView v;
   v.name = netlist.name();
-  v.gates.reserve(netlist.gate_count());
-  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    v.gates.push_back(netlist.gate(static_cast<Net>(i)));
-  }
+  v.gates.assign(netlist.gates().begin(), netlist.gates().end());
   v.inputs = netlist.inputs();
   v.dffs = netlist.flip_flops();
   v.outputs = netlist.outputs();
@@ -374,20 +388,11 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
   // observable at SOME frame. Warning severity: the generator's pool nets
   // and keep_all_nets optimizer output are dangling by construction.
   {
-    std::vector<char> cone(static_cast<std::size_t>(count), 0);
-    std::vector<Net> work;
-    const auto mark = [&](Net n) {
-      if (in_range(n) && cone[static_cast<std::size_t>(n)] == 0) {
-        cone[static_cast<std::size_t>(n)] = 1;
-        work.push_back(n);
-      }
-    };
-    for (const auto& [name, n] : v.outputs) mark(n);
-    while (!work.empty()) {
-      const Gate& g = v.gates[static_cast<std::size_t>(work.back())];
-      work.pop_back();
-      if (kind_in_range(g.kind)) rtl::for_each_operand(g, mark);
+    std::vector<Net> roots;
+    for (const auto& [name, n] : v.outputs) {
+      if (in_range(n)) roots.push_back(n);
     }
+    const std::vector<char> cone = rtl::cone_of_influence(v.gates, roots);
     std::size_t dangling = 0;
     Net first = -1;
     for (Net i = 0; i < count; ++i) {
@@ -410,79 +415,30 @@ void Linter::structural(const NetlistView& v, LintReport& r) const {
   // A register is autonomous when no primary input reaches its next-state
   // logic even transitively through other registers: once past reset its
   // trajectory is fixed, which is legitimate for free-running counters but
-  // worth a warning everywhere else. Fixpoint over the register dependency
-  // graph: direct input dependence seeds, register-to-register edges
-  // propagate.
-  {
-    std::vector<char> depends(v.dffs.size(), 0);
-    std::vector<std::vector<std::size_t>> feeds(v.dffs.size());  // dff -> readers
-    std::map<Net, std::size_t> dff_slot;
-    bool lists_ok = true;
-    for (std::size_t k = 0; k < v.dffs.size(); ++k) {
-      if (!in_range(v.dffs[k])) lists_ok = false;
-      dff_slot[v.dffs[k]] = k;
+  // worth a warning everywhere else. One forward closure from the input
+  // gates, crossing only the listed registers: a listed flip-flop the
+  // closure reaches depends on an input; every other entry is autonomous.
+  if (std::all_of(v.dffs.begin(), v.dffs.end(), in_range)) {
+    std::vector<Net> inputs;
+    for (Net i = 0; i < count; ++i) {
+      if (v.gates[static_cast<std::size_t>(i)].kind == GateKind::input) inputs.push_back(i);
     }
-    if (lists_ok) {
-      for (std::size_t k = 0; k < v.dffs.size(); ++k) {
-        const Gate& d = v.gates[static_cast<std::size_t>(v.dffs[k])];
-        if (d.kind != GateKind::dff || !in_range(d.a)) continue;
-        // Backward comb walk from the next-state net; stop at inputs
-        // (direct dependence) and at registers (dependency edge).
-        std::vector<char> seen(static_cast<std::size_t>(count), 0);
-        std::vector<Net> work{d.a};
-        seen[static_cast<std::size_t>(d.a)] = 1;
-        while (!work.empty()) {
-          const Net n = work.back();
-          work.pop_back();
-          const Gate& g = v.gates[static_cast<std::size_t>(n)];
-          if (!kind_in_range(g.kind)) continue;
-          if (g.kind == GateKind::input) {
-            depends[k] = 1;
-            continue;
-          }
-          if (g.kind == GateKind::dff) {
-            if (const auto it = dff_slot.find(n); it != dff_slot.end()) {
-              feeds[it->second].push_back(k);
-            }
-            continue;
-          }
-          rtl::for_each_operand(g, [&](Net op) {
-            if (in_range(op) && seen[static_cast<std::size_t>(op)] == 0) {
-              seen[static_cast<std::size_t>(op)] = 1;
-              work.push_back(op);
-            }
-          });
-        }
-      }
-      std::vector<std::size_t> frontier;
-      for (std::size_t k = 0; k < depends.size(); ++k) {
-        if (depends[k] != 0) frontier.push_back(k);
-      }
-      while (!frontier.empty()) {
-        const std::size_t k = frontier.back();
-        frontier.pop_back();
-        for (const std::size_t reader : feeds[k]) {
-          if (depends[reader] == 0) {
-            depends[reader] = 1;
-            frontier.push_back(reader);
-          }
-        }
-      }
-      std::size_t autonomous = 0;
-      Net first = -1;
-      for (std::size_t k = 0; k < depends.size(); ++k) {
-        if (depends[k] == 0) {
-          if (first < 0) first = v.dffs[k];
-          ++autonomous;
-        }
-      }
-      if (autonomous > 0) {
-        emit(Rule::autonomous_register, "netlist",
-             std::to_string(autonomous) +
-                 " registers whose next state never depends on a primary input "
-                 "(first: " +
-                 net_str(first) + ")");
-      }
+    const std::vector<char> reached =
+        rtl::ConeTracer{v.gates, v.dffs}.fault_cone_closure(inputs);
+    std::size_t autonomous = 0;
+    Net first = -1;
+    for (const Net d : v.dffs) {
+      const auto di = static_cast<std::size_t>(d);
+      if (v.gates[di].kind == GateKind::dff && reached[di] != 0) continue;
+      if (first < 0) first = d;
+      ++autonomous;
+    }
+    if (autonomous > 0) {
+      emit(Rule::autonomous_register, "netlist",
+           std::to_string(autonomous) +
+               " registers whose next state never depends on a primary input "
+               "(first: " +
+               net_str(first) + ")");
     }
   }
 }
@@ -528,20 +484,8 @@ void Linter::semantic(const rtl::Netlist& n, LintReport& r) const {
   if (!suppressed(Rule::undetectable_fault)) {
     std::vector<Net> roots;
     for (const auto& [name, net] : n.outputs()) roots.push_back(net);
-    const std::vector<char> cone = n.cone_of_influence(roots);
-    std::size_t sites = 0;
-    Net first = -1;
-    for (std::size_t i = 0; i < n.gate_count(); ++i) {
-      if (!rtl::is_fault_site(n.gate(static_cast<Net>(i)).kind)) continue;
-      std::size_t here = 0;
-      if (cone[i] == 0) {
-        here = 2;  // both polarities are invisible to every output
-      } else if (proof.value[i] >= 0) {
-        here = 1;  // stuck at the proven value is a functional no-op
-      }
-      if (here > 0 && first < 0) first = static_cast<Net>(i);
-      sites += here;
-    }
+    const auto [sites, first] = undetectable_sites(
+        n, rtl::cone_of_influence(n.gates(), roots), proof.value);
     if (sites > 0) {
       emit(Rule::undetectable_fault, "netlist",
            std::to_string(sites) +
@@ -694,7 +638,7 @@ FaultPruner::FaultPruner(const rtl::Netlist& netlist,
   std::vector<Net> roots;
   roots.reserve(observed.size());
   for (const auto& name : observed) roots.push_back(netlist.output(name));
-  cone_ = netlist.cone_of_influence(roots);
+  cone_ = rtl::cone_of_influence(netlist.gates(), roots);
   const_val_.assign(netlist.gate_count(), -1);
   if (options.semantic) {
     const ConstProof proof = prove_constants(netlist, options.sat_rounds,
@@ -703,14 +647,7 @@ FaultPruner::FaultPruner(const rtl::Netlist& netlist,
     sat_proofs_ = proof.proofs;
     sat_conflicts_ = proof.conflicts;
   }
-  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    if (!rtl::is_fault_site(netlist.gate(static_cast<Net>(i)).kind)) continue;
-    if (cone_[i] == 0) {
-      prunable_ += 2;
-    } else if (const_val_[i] >= 0) {
-      prunable_ += 1;
-    }
-  }
+  prunable_ = undetectable_sites(netlist, cone_, const_val_).first;
 }
 
 bool FaultPruner::undetectable(rtl::Net net, bool stuck_to) const {

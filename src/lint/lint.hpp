@@ -186,7 +186,7 @@ private:
 ///
 ///  * structural — the net is outside the backward cone of influence of
 ///    every observed output. The COI traversal crosses register boundaries
-///    (Netlist::cone_of_influence), so the closure covers propagation
+///    (rtl::cone_of_influence), so the closure covers propagation
 ///    through any number of frames: the fault cannot change any observed
 ///    output at any time, under any stimulus.
 ///  * semantic (Options::semantic) — the net is proven equal to the stuck

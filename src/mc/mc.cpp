@@ -10,6 +10,7 @@
 #include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/session.hpp"
+#include "rtl/cone.hpp"
 
 namespace symbad::mc {
 
@@ -273,7 +274,7 @@ struct Session {
     chain.first_state = rtl::StateInit::reset;
     chain.conditional_reset = act_reset;
     if (options.cone_of_influence) {
-      cones.push_back(netlist->cone_of_influence(roots_of(properties)));
+      cones.push_back(rtl::cone_of_influence(netlist->gates(), roots_of(properties)));
       chain.cone = &cones.back();
     }
     // With preprocessing the faults are already baked into the netlist.
@@ -319,7 +320,7 @@ struct Session {
          collect_observed({properties.data(), properties.size()}, &decided)) {
       roots.push_back(netlist->output(name));
     }
-    std::vector<char> cone = netlist->cone_of_influence(roots);
+    std::vector<char> cone = rtl::cone_of_influence(netlist->gates(), roots);
     const auto in_cone = [](const std::vector<char>& c) {
       return std::count_if(c.begin(), c.end(), [](char v) { return v != 0; });
     };
@@ -547,6 +548,8 @@ CheckResult ModelChecker::check_with_faults(const Property& property,
                                             const std::map<rtl::Net, bool>& faults,
                                             Options options) const {
   OBS_SPAN("mc.check");
+  // Checked up front so every path rejects a bad site alike.
+  opt::check_fault_sites(*netlist_, faults);
   CheckResult result;
   const std::map<rtl::Net, bool> faults_kept =
       pruned_faults(*netlist_, {&property, 1}, faults, options);
@@ -615,6 +618,7 @@ MultiCheckResult ModelChecker::check_all_with_faults(
     const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
     Options options) const {
   OBS_SPAN("mc.check_all");
+  opt::check_fault_sites(*netlist_, faults);
   MultiCheckResult multi;
   multi.results.resize(properties.size());
   if (properties.empty()) return multi;

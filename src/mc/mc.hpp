@@ -187,7 +187,7 @@ public:
     int induction_depth = 4;  ///< k for k-induction
     /// Restrict the per-frame encoding to the property's structural cone of
     /// influence (back-traversal from the observed outputs through gate
-    /// operands and registers, `Netlist::cone_of_influence`). Exact:
+    /// operands and registers, `rtl::cone_of_influence`). Exact:
     /// verdicts, bound_used and (canonical) counterexamples are identical
     /// with the reduction on or off — only solver size changes.
     bool cone_of_influence = true;
@@ -254,6 +254,7 @@ public:
   }
 
   /// Checks a property on a *faulty* variant of the netlist (used by PCC).
+  /// A fault site outside the netlist throws std::out_of_range.
   [[nodiscard]] CheckResult check_with_faults(const Property& property,
                                               const std::map<rtl::Net, bool>& faults,
                                               Options options) const;
@@ -272,7 +273,8 @@ public:
     return check_all(properties, Options{});
   }
   /// Portfolio check on a faulty netlist variant (PCC's inner loop: one
-  /// fault, many properties, one solver).
+  /// fault, many properties, one solver). A fault site outside the netlist
+  /// throws std::out_of_range.
   [[nodiscard]] MultiCheckResult check_all_with_faults(
       const std::vector<Property>& properties, const std::map<rtl::Net, bool>& faults,
       Options options) const;

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "opt/rebuild.hpp"
 #include "opt/sweep.hpp"
+#include "rtl/cone.hpp"
 
 namespace symbad::opt {
 
@@ -55,13 +56,13 @@ Rebuild rewrite_pass(const Netlist& in, const RebuildOptions& ro) {
   }
 
   // Liveness relative to the kept outputs (closure under structural
-  // support, crossing registers — Netlist::cone_of_influence).
+  // support, crossing registers — rtl::cone_of_influence).
   std::vector<char> live;
   if (!ro.keep_all_nets) {
     std::vector<Net> roots;
     roots.reserve(kept_outputs.size());
     for (const auto& [name, net] : kept_outputs) roots.push_back(net);
-    live = in.cone_of_influence(roots);
+    live = rtl::cone_of_influence(in.gates(), roots);
   }
   const auto is_live = [&](std::size_t i) {
     return ro.keep_all_nets || live[i] != 0;
@@ -190,8 +191,17 @@ void publish_obs(const OptimizeResult& result) {
 
 }  // namespace
 
+void check_fault_sites(const Netlist& netlist, const std::map<Net, bool>& faults) {
+  if (!faults.empty() &&
+      (faults.begin()->first < 0 ||
+       static_cast<std::size_t>(faults.rbegin()->first) >= netlist.gate_count())) {
+    throw std::out_of_range{"opt: fault site outside the netlist"};
+  }
+}
+
 OptimizeResult Optimizer::run(const Netlist& input) const {
   input.validate();
+  if (options_.faults != nullptr) check_fault_sites(input, *options_.faults);
   OBS_SPAN("opt.run");
   OptimizeResult result;
 

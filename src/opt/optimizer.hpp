@@ -101,7 +101,8 @@ struct OptimizerOptions {
   /// keyed by the *input* netlist's nets. Faulted inputs are still
   /// declared as inputs (order preserved) but their readers see the
   /// constant, exactly like the CnfEncoder fault override. The pointee
-  /// must outlive the optimize() call.
+  /// must outlive the optimize() call; a net outside the input netlist
+  /// throws std::out_of_range.
   const std::map<rtl::Net, bool>* faults = nullptr;
   /// Serve per-fault re-optimization from a cached optimized baseline
   /// (opt::PreprocessSession): only the fault's forward cone is rebuilt
@@ -152,6 +153,9 @@ public:
 private:
   OptimizerOptions options_;
 };
+
+/// Throws std::out_of_range when `faults` names a net outside `netlist`.
+void check_fault_sites(const rtl::Netlist& netlist, const std::map<rtl::Net, bool>& faults);
 
 /// One-shot convenience wrapper.
 [[nodiscard]] inline OptimizeResult optimize(const rtl::Netlist& input,

@@ -29,7 +29,7 @@ PreprocessSession::PreprocessSession(const Netlist& netlist, OptimizerOptions op
     : original_{&netlist},
       options_{fault_free(std::move(options))},
       baseline_{Optimizer{options_}.run(netlist)},
-      tracer_{netlist} {
+      tracer_{netlist.gates(), netlist.flip_flops()} {
   baseline_hash_ = detail::Builder::scan_hash(baseline_.netlist, baseline_consts_);
 }
 

@@ -14,7 +14,7 @@
 //    rewrite, exactly Optimizer::run) and caches the result: the optimized
 //    baseline netlist, the original->baseline NetMap, the baseline's
 //    structural-hash table (rescanned from the hash-canonical baseline),
-//    and a forward rtl::ConeTracer over the original netlist;
+//    and the original netlist's forward closure (rtl::ConeTracer);
 //  * reoptimize(faults) then rebuilds ONLY the fault's forward cone —
 //    fault_cone_closure on the original netlist — against a copy of the
 //    baseline: the fault site's image becomes a constant, in-cone gates are
@@ -71,7 +71,9 @@ public:
   /// Empty fault set: a copy of the baseline. With `options().incremental`
   /// (the default) only the faults' forward cone is re-optimized and
   /// spliced; otherwise the full per-fault rebuild runs (sweep off),
-  /// exactly the session-free path. Single-threaded, like the optimizer.
+  /// exactly the session-free path. A fault site outside the original
+  /// netlist throws std::out_of_range in either mode. Single-threaded,
+  /// like the optimizer.
   [[nodiscard]] OptimizeResult reoptimize(const std::map<rtl::Net, bool>& faults) const;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -84,7 +86,7 @@ private:
   OptimizeResult baseline_;
   detail::Builder::HashMap baseline_hash_;   ///< keyed by baseline net ids
   std::array<rtl::Net, 2> baseline_consts_{-1, -1};
-  rtl::ConeTracer tracer_;                   ///< over the original netlist
+  rtl::ConeTracer tracer_;                   ///< forward closure of the original
   mutable Stats stats_;
 };
 

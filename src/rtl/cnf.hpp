@@ -57,7 +57,7 @@ public:
     /// cone pays for fresh variables and clauses. Without `reuse_base`
     /// (model-checking cone of influence) they get invalid literals — legal
     /// only when `cone` is closed under structural support, i.e. no in-cone
-    /// gate reads an out-of-cone net (`Netlist::cone_of_influence`
+    /// gate reads an out-of-cone net (`rtl::cone_of_influence`
     /// guarantees this). `cone` is indexed by net like the netlist;
     /// `reuse_base` requires `cone`.
     const std::vector<char>* cone = nullptr;
@@ -86,7 +86,7 @@ public:
     /// Cone-of-influence restriction applied to every frame: out-of-cone
     /// nets are never encoded (invalid literals, no variables, no clauses,
     /// no reset pinning). Must be closed under structural support — use
-    /// `Netlist::cone_of_influence`. The pointee must outlive the chain.
+    /// `rtl::cone_of_influence`. The pointee must outlive the chain.
     const std::vector<char>* cone = nullptr;
   };
 

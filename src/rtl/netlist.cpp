@@ -110,43 +110,6 @@ const std::string& Netlist::net_name(Net n) const {
   return it == names_.end() ? kEmpty : it->second;
 }
 
-std::vector<char> Netlist::cone_of_influence(const std::vector<Net>& roots) const {
-  std::vector<char> cone(gates_.size(), 0);
-  std::vector<Net> frontier;
-  for (const Net root : roots) {
-    check_operand(root);
-    if (cone[static_cast<std::size_t>(root)] == 0) {
-      cone[static_cast<std::size_t>(root)] = 1;
-      frontier.push_back(root);
-    }
-  }
-  auto visit = [&](Net n) {
-    if (n < 0) return;  // unconnected operand slot
-    auto& mark = cone[static_cast<std::size_t>(n)];
-    if (mark == 0) {
-      mark = 1;
-      frontier.push_back(n);
-    }
-  };
-  // A flip-flop's operand is its next-state net: crossing the register
-  // boundary keeps the closure valid at every frame.
-  while (!frontier.empty()) {
-    const Gate& g = gates_[static_cast<std::size_t>(frontier.back())];
-    frontier.pop_back();
-    for_each_operand(g, visit);
-  }
-  return cone;
-}
-
-std::vector<Net> Netlist::register_support(const std::vector<Net>& roots) const {
-  const auto cone = cone_of_influence(roots);
-  std::vector<Net> support;
-  for (const Net d : dffs_) {
-    if (cone[static_cast<std::size_t>(d)] != 0) support.push_back(d);
-  }
-  return support;
-}
-
 GateHistogram Netlist::gate_histogram() const {
   GateHistogram hist{};
   for (const auto& g : gates_) ++hist[gate_index(g.kind)];

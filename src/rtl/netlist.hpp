@@ -155,16 +155,9 @@ public:
     return input_index_.contains(name);
   }
 
-  // ------------------------------------------------- structural queries
-  /// Backward cone of influence of `roots`: result[net] != 0 iff `net`'s
-  /// value at *some* time frame can influence some root at some frame. The
-  /// traversal walks gate operands and crosses register boundaries (a
-  /// flip-flop in the cone pulls in its next-state net), so the closure is
-  /// valid for every frame of an unrolling. Result is indexed like gates.
-  [[nodiscard]] std::vector<char> cone_of_influence(const std::vector<Net>& roots) const;
-  /// The flip-flops inside `cone_of_influence(roots)`, in declaration
-  /// order — the register support of a property over those roots.
-  [[nodiscard]] std::vector<Net> register_support(const std::vector<Net>& roots) const;
+  // -------------------------------------------------------- statistics
+  // (Structural closures — cones of influence, fault cones — are in
+  // rtl/cone.hpp.)
 
   /// Count of gates per kind — the "silicon usage" proxy used by the
   /// architecture-exploration grading; index with `gate_index(kind)`.

@@ -2,7 +2,7 @@
 
 namespace symbad::verif {
 
-thread_local CoverageDb* CoverageDb::active_ = nullptr;
+constinit thread_local CoverageDb* CoverageDb::active_ = nullptr;
 
 namespace {
 int covered_single(const std::vector<std::uint64_t>& v) noexcept {

@@ -615,11 +615,13 @@ std::string render_eval_rows() {
 
 /// The backward cone of influence of `roots`.
 std::vector<char> backward_cone(const rtl::Netlist& n, const std::vector<rtl::Net>& roots) {
-  return n.cone_of_influence(roots);
+  return rtl::cone_of_influence(n.gates(), roots);
 }
 
 /// The forward cone tracer over `n`.
-rtl::ConeTracer forward_tracer(const rtl::Netlist& n) { return rtl::ConeTracer{n}; }
+rtl::ConeTracer forward_tracer(const rtl::Netlist& n) {
+  return rtl::ConeTracer{n.gates(), n.flip_flops()};
+}
 
 /// Folds the marked nets of `marks` into `d`; returns how many there are.
 std::size_t digest_marks(Fnv& d, const std::vector<char>& marks) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <stdexcept>
 
 #include "app/rtl_blocks.hpp"
 #include "gen/gen.hpp"
 #include "mc/mc.hpp"
+#include "opt/session.hpp"
 #include "pcc/pcc.hpp"
 #include "rtl/wordops.hpp"
 #include "sat/solver.hpp"
@@ -15,6 +18,7 @@
 
 namespace gen = symbad::gen;
 namespace mc = symbad::mc;
+namespace opt = symbad::opt;
 namespace pcc = symbad::pcc;
 namespace app = symbad::app;
 namespace rtl = symbad::rtl;
@@ -272,6 +276,32 @@ TEST(McCoi, EquivalentUnderInjectedFaults) {
       for (const auto& prop : props) {
         expect_coi_equivalent(checker, prop, faults, {6, 3});
       }
+    }
+  }
+}
+
+TEST(McFaults, OutOfRangeFaultSiteThrowsOnEveryPath) {
+  // A fault map naming a net the netlist does not have is rejected the
+  // same way with preprocessing on, off and through a campaign session.
+  const auto fsm = app::build_wrapper_fsm();
+  const mc::ModelChecker checker{fsm};
+  const auto props = app::wrapper_properties_initial();
+  const opt::PreprocessSession session{fsm, opt::OptimizerOptions{}};
+  mc::ModelChecker::Options preprocessed{6, 3};
+  mc::ModelChecker::Options plain{6, 3};
+  plain.optimize = false;
+  mc::ModelChecker::Options cached{6, 3};
+  cached.preprocess_session = &session;
+  const auto past_end = static_cast<rtl::Net>(fsm.gate_count() + 1000000);
+  for (const rtl::Net bad : {rtl::Net{-100000000}, rtl::Net{-1}, past_end}) {
+    const std::map<rtl::Net, bool> faults{{0, false}, {bad, true}};
+    for (const auto& options : {preprocessed, plain, cached}) {
+      EXPECT_THROW((void)checker.check_with_faults(props.front(), faults, options),
+                   std::out_of_range)
+          << "net " << bad;
+      EXPECT_THROW((void)checker.check_all_with_faults(props, faults, options),
+                   std::out_of_range)
+          << "net " << bad;
     }
   }
 }

@@ -249,6 +249,23 @@ TEST(IncSession, ConstructionAndUseValidate) {
   EXPECT_THROW((void)same.check(prop, mc_opts), std::invalid_argument);
 }
 
+TEST(IncSession, OutOfRangeFaultSiteThrowsInBothModes) {
+  // A fault site the netlist does not have is rejected, not traced or
+  // silently dropped.
+  const auto fsm = app::build_wrapper_fsm();
+  for (const bool incremental : {true, false}) {
+    opt::OptimizerOptions options;
+    options.incremental = incremental;
+    const opt::PreprocessSession session{fsm, options};
+    for (const rtl::Net bad :
+         {rtl::Net{-100000000}, rtl::Net{-1}, static_cast<rtl::Net>(fsm.gate_count()),
+          static_cast<rtl::Net>(fsm.gate_count() + 1000000)}) {
+      EXPECT_THROW((void)session.reoptimize({{bad, true}}), std::out_of_range)
+          << "net " << bad << (incremental ? " incremental" : " full rebuild");
+    }
+  }
+}
+
 // ------------------------------------------------------- mc-level identity
 
 TEST(IncMc, WrapperFaultCampaignThreeWayIdentical) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -665,7 +666,7 @@ Netlist make_two_cone_netlist() {
 TEST(Netlist, ConeOfInfluenceClosesOverRegisters) {
   const Netlist n = make_two_cone_netlist();
   const Net t = n.output("t");
-  const auto cone = n.cone_of_influence({t});
+  const auto cone = rtl::cone_of_influence(n.gates(), {t});
   // The register pulls in its next-state XOR and the `en` input...
   EXPECT_NE(cone[static_cast<std::size_t>(t)], 0);
   EXPECT_NE(cone[static_cast<std::size_t>(n.input("en"))], 0);
@@ -674,16 +675,13 @@ TEST(Netlist, ConeOfInfluenceClosesOverRegisters) {
   EXPECT_EQ(cone[static_cast<std::size_t>(n.input("a"))], 0);
   EXPECT_EQ(cone[static_cast<std::size_t>(n.input("b"))], 0);
   EXPECT_EQ(cone[static_cast<std::size_t>(n.output("y"))], 0);
-
-  EXPECT_EQ(n.register_support({t}), std::vector<Net>{t});
-  EXPECT_TRUE(n.register_support({n.output("y")}).empty());
 }
 
 TEST(Netlist, ConeTracerCrossesRegisterBoundaryForward) {
   // Forward fault cone of `en`: frame 0 reaches the XOR (next-state) but
   // not the register output; from frame 1 on the corruption has latched.
   const Netlist n = make_two_cone_netlist();
-  const rtl::ConeTracer tracer{n};
+  const rtl::ConeTracer tracer{n.gates(), n.flip_flops()};
   const Net t = n.output("t");
   const auto cones = tracer.fault_cones(n.input("en"), 3);
   ASSERT_EQ(cones.size(), 3u);
@@ -697,12 +695,24 @@ TEST(Netlist, ConeTracerCrossesRegisterBoundaryForward) {
   }
 }
 
+TEST(Netlist, ConesRejectNetsOutsideTheGates) {
+  const Netlist n = make_two_cone_netlist();
+  const auto past_end = static_cast<Net>(n.gate_count());
+  EXPECT_THROW((void)rtl::cone_of_influence(n.gates(), {past_end}), std::out_of_range);
+  EXPECT_THROW((void)rtl::cone_of_influence(n.gates(), {-1}), std::out_of_range);
+  const rtl::ConeTracer tracer{n.gates(), n.flip_flops()};
+  for (const Net bad : {Net{-100000000}, Net{-1}, past_end, past_end + 1000000}) {
+    EXPECT_THROW((void)tracer.fault_cone_closure({0, bad}), std::out_of_range);
+    EXPECT_THROW((void)tracer.fault_cones(bad, 2), std::out_of_range);
+  }
+}
+
 TEST(CnfChain, ConeRestrictionSkipsOutOfConeLogicAndPreservesBehaviour) {
   // A chain restricted to output "t"'s cone must answer reachability
   // questions about "t" identically to the full encoding while never
   // allocating variables for the unrelated AND half.
   const Netlist n = make_two_cone_netlist();
-  const auto cone = n.cone_of_influence({n.output("t")});
+  const auto cone = rtl::cone_of_influence(n.gates(), {n.output("t")});
 
   auto toggle_reachable = [&](const std::vector<char>* restrict_cone,
                               int& variables) {
