@@ -5,8 +5,9 @@
 // committed seed corpus (tests/corpus/manifest.txt golden digests: the
 // generator rows, plus evaluator rows pinning SAT-sweep merges, semantic
 // lint const nets and simulator traces over the corpus and the case-study
-// RTL blocks, and closure rows pinning backward and forward cones with the
-// laws that tie them together).
+// RTL blocks, closure rows pinning backward and forward cones with the
+// laws that tie them together, and obs rows pinning the registry delta of
+// one call to each telemetry publisher).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -31,8 +33,12 @@
 #include "gen/runtime.hpp"
 #include "gen/traffic.hpp"
 #include "lint/lint.hpp"
+#include "mc/mc.hpp"
 #include "media/database.hpp"
+#include "obs/obs.hpp"
+#include "opt/optimizer.hpp"
 #include "opt/sweep.hpp"
+#include "pcc/pcc.hpp"
 #include "rtl/cone.hpp"
 #include "rtl/netlist.hpp"
 #include "support/test_util.hpp"
@@ -42,8 +48,11 @@ namespace core = symbad::core;
 namespace exec = symbad::exec;
 namespace gen = symbad::gen;
 namespace lint = symbad::lint;
+namespace mc = symbad::mc;
 namespace media = symbad::media;
+namespace obs = symbad::obs;
 namespace opt = symbad::opt;
+namespace pcc = symbad::pcc;
 namespace rtl = symbad::rtl;
 namespace sim = symbad::sim;
 namespace verif = symbad::verif;
@@ -492,6 +501,7 @@ constexpr const char* kManifestPath = SYMBAD_GEN_CORPUS_DIR "/manifest.txt";
 constexpr int kCorpusSeedsPerTier = 4;
 constexpr const char* kEvalRowTag = "eval";
 constexpr const char* kConeRowTag = "cone";
+constexpr const char* kObsRowTag = "obs";
 
 std::string render_manifest() {
   // Format (one design point per line, fixed field order — the corpus
@@ -686,11 +696,92 @@ std::string render_cone_rows() {
   return rows;
 }
 
+/// One obs row: what a single call publishes into the telemetry registry,
+/// pinned so a change to how modules publish cannot move it. Fields: the
+/// names of the counters the call moved, and the digest of the whole
+/// deterministic export (`to_json(false)`, zero-valued counters included).
+std::string render_obs_row(const std::string& call, const std::function<void()>& run) {
+  auto& registry = obs::Registry::instance();
+  registry.reset();
+  run();
+  const obs::Snapshot snap = registry.snapshot();
+  Fnv json;
+  json.str(snap.to_json(/*include_host=*/false));
+  std::ostringstream out;
+  out << kObsRowTag << ' ' << call << std::hex << " json=" << json.h << " moved=";
+  bool first = true;
+  for (const auto& e : snap.entries) {
+    if (e.is_gauge || e.count == 0 || e.name.starts_with("host.")) continue;
+    out << (first ? "" : ",") << e.name;
+    first = false;
+  }
+  out << '\n';
+  return out.str();
+}
+
+/// One call to each registry publisher on fixed inputs: the mc single and
+/// portfolio checks, a PCC campaign, the optimizer, lint over a netlist, a
+/// view and a task graph, both generators and a two-scenario campaign.
+std::string render_obs_rows() {
+  auto& registry = obs::Registry::instance();
+  const int level = registry.level();
+  registry.set_level(1);  // counting must be on even under SYMBAD_OBS=0
+
+  const rtl::Netlist wrapper = app::build_wrapper_fsm();
+  const rtl::Netlist root = app::build_root_rtl();
+  const std::uint64_t seed = gen::SweepConfig{}.seed_at(0);
+  const gen::GeneratedPlatform platform = gen::generate_platform(seed, gen::SizeTier::small);
+  std::vector<exec::Scenario> scenarios = gen::cross_level_scenarios_for(
+      platform, /*frames=*/3,
+      {core::ModelLevel::untimed_functional, core::ModelLevel::timed_platform});
+  scenarios[1].frames = 4;  // the traces diverge: the agreement check fails
+  lint::Options semantic;
+  semantic.semantic = true;
+
+  const std::vector<std::pair<std::string, std::function<void()>>> calls{
+      {"mc.check",
+       [&] {
+         (void)mc::ModelChecker{wrapper}.check(app::wrapper_properties_extended().front());
+       }},
+      {"mc.check_all",
+       [&] { (void)mc::ModelChecker{wrapper}.check_all(app::wrapper_properties_extended()); }},
+      {"pcc.wrapper",
+       [&] {
+         pcc::PccOptions options;
+         options.bmc_bound = 6;
+         (void)pcc::check_property_coverage(wrapper, app::wrapper_properties_initial(),
+                                            options);
+       }},
+      {"opt.optimize", [&] { (void)opt::optimize(root, opt::OptimizerOptions{}); }},
+      {"lint.netlist", [&] { (void)lint::Linter{semantic}.analyze(root); }},
+      {"lint.view", [&] { (void)lint::Linter{}.analyze(lint::NetlistView::of(root)); }},
+      {"lint.graph", [&] { (void)lint::Linter{}.analyze(platform.graph); }},
+      {"gen.platform", [&] { (void)gen::generate_platform(seed, gen::SizeTier::medium); }},
+      {"gen.netlist", [&] { (void)gen::generate_netlist(seed, gen::SizeTier::medium); }},
+      {"exec.campaign",
+       [&] {
+         exec::CampaignRunner::Options options;
+         options.workers = 2;  // explicit: bypasses SYMBAD_CAMPAIGN_WORKERS
+         options.rethrow_errors = true;
+         (void)exec::CampaignRunner{gen::synthetic_runtime_factory(), options}.run(
+             scenarios);
+       }},
+  };
+  // A first pass registers every publisher's names, so each row exports the
+  // same name set whatever else this process ran before.
+  for (const auto& [call, run] : calls) run();
+  std::string rows;
+  for (const auto& [call, run] : calls) rows += render_obs_row(call, run);
+  registry.set_level(level);
+  return rows;
+}
+
 /// The committed manifest split by row kind.
 struct Manifest {
   std::string generator;
   std::string evaluator;
   std::string closure;
+  std::string telemetry;
 };
 
 Manifest read_manifest() {
@@ -703,6 +794,8 @@ Manifest read_manifest() {
       m.evaluator += line + '\n';
     } else if (line.starts_with(kConeRowTag)) {
       m.closure += line + '\n';
+    } else if (line.starts_with(kObsRowTag)) {
+      m.telemetry += line + '\n';
     } else {
       m.generator += line + '\n';
     }
@@ -717,7 +810,7 @@ TEST(GenCorpus, ManifestMatchesRegeneratedDigests) {
   if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
     std::ofstream out{kManifestPath, std::ios::trunc};
     ASSERT_TRUE(out.good()) << "cannot write " << kManifestPath;
-    out << fresh << render_eval_rows() << render_cone_rows();
+    out << fresh << render_eval_rows() << render_cone_rows() << render_obs_rows();
     ASSERT_TRUE(out.good());
     SUCCEED() << "corpus manifest re-recorded";
     return;
@@ -747,6 +840,16 @@ TEST(GenCorpus, ClosureRowsMatchManifest) {
          "closure or a per-frame fault cone over the corpus moved. These are "
          "pinned — a change to how cones are traced must leave them "
          "bit-identical.";
+}
+
+TEST(GenCorpus, ObsRowsMatchManifest) {
+  if (core::parse_env_flag("SYMBAD_GEN_CORPUS_WRITE").value_or(false)) {
+    GTEST_SKIP() << "recording run: ManifestMatchesRegeneratedDigests writes the rows";
+  }
+  EXPECT_EQ(read_manifest().telemetry, render_obs_rows())
+      << "telemetry drift: a publisher's registry delta moved (a counter "
+         "value, or which names a call publishes at all). These are pinned "
+         "— a change to how modules publish must leave them bit-identical.";
 }
 
 TEST(GenCorpus, ForwardAndBackwardClosuresAgree) {
