@@ -31,6 +31,12 @@ if grep -rnE '\bgetenv[[:space:]]*\(|parse_env_[a-z]+[[:space:]]*\(' src |
   echo "error: environment read outside the process-level knob files" >&2
   exit 1
 fi
+# A module publishes a literal-named metric through obs::counter<"name">() /
+# obs::gauge<"name">(); only names built at run time go to the registry.
+if grep -rnE '\.(counter|gauge)\("' src | grep -v '^src/obs/'; then
+  echo "error: literal-name registry registration outside src/obs" >&2
+  exit 1
+fi
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"

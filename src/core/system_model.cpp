@@ -284,15 +284,9 @@ PerformanceReport SystemModel::run(int frames) {
   // HostMetrics is a per-run view; the registry's host.* gauges are the
   // aggregated source of truth for host time (wall seconds accumulate
   // across runs, the kHz figure is last-run).
-  struct HostObs {
-    obs::Gauge wall_seconds, cycles_per_wall_second;
-  };
-  static const HostObs gauges{
-      obs::Registry::instance().gauge("host.sim.wall_seconds"),
-      obs::Registry::instance().gauge("host.sim.cycles_per_wall_second"),
-  };
-  gauges.wall_seconds.add(report.host.wall_seconds);
-  gauges.cycles_per_wall_second.set(report.host.sim_cycles_per_wall_second);
+  obs::gauge<"host.sim.wall_seconds">().add(report.host.wall_seconds);
+  obs::gauge<"host.sim.cycles_per_wall_second">().set(
+      report.host.sim_cycles_per_wall_second);
   return report;
 }
 

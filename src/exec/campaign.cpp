@@ -16,33 +16,6 @@ namespace symbad::exec {
 
 namespace {
 
-// Deterministic campaign counters: totals are scheduling-independent sums,
-// so they stay byte-identical across worker counts. Everything timed or
-// per-worker goes through the `host.` namespace instead (registered lazily
-// per worker id below).
-struct ExecObs {
-  obs::Counter campaigns;
-  obs::Counter scenarios;
-  obs::Counter scenario_failures;
-  obs::Counter agreement_checks;
-  obs::Counter agreement_failures;
-  obs::Gauge wall_seconds;           // host.*
-  obs::Gauge scenarios_per_second;   // host.*
-};
-
-const ExecObs& exec_obs() {
-  static const ExecObs metrics{
-      obs::Registry::instance().counter("exec.campaigns"),
-      obs::Registry::instance().counter("exec.scenarios"),
-      obs::Registry::instance().counter("exec.scenario_failures"),
-      obs::Registry::instance().counter("exec.agreement_checks"),
-      obs::Registry::instance().counter("exec.agreement_failures"),
-      obs::Registry::instance().gauge("host.exec.wall_seconds"),
-      obs::Registry::instance().gauge("host.exec.scenarios_per_second"),
-  };
-  return metrics;
-}
-
 // Per-worker attribution (which worker claimed how many scenarios, how long
 // it ran, how long it sat between claims). Worker assignment depends on
 // scheduling, so all of it is host.* by construction.
@@ -250,12 +223,14 @@ CampaignReport CampaignRunner::run(const std::vector<Scenario>& scenarios) const
         static_cast<double>(scenarios.size()) / report.wall_seconds_total;
   }
 
-  const ExecObs& metrics = exec_obs();
-  metrics.campaigns.inc();
-  metrics.scenarios.add(scenarios.size());
-  metrics.scenario_failures.add(report.failures());
-  metrics.wall_seconds.add(report.wall_seconds_total);
-  metrics.scenarios_per_second.set(report.scenarios_per_second);
+  // Deterministic campaign counters are scheduling-independent sums, so
+  // they stay byte-identical across worker counts; everything timed lives
+  // in the `host.` namespace.
+  obs::counter<"exec.campaigns">().inc();
+  obs::counter<"exec.scenarios">().add(scenarios.size());
+  obs::counter<"exec.scenario_failures">().add(report.failures());
+  obs::gauge<"host.exec.wall_seconds">().add(report.wall_seconds_total);
+  obs::gauge<"host.exec.scenarios_per_second">().set(report.scenarios_per_second);
 
   if (options_.collect_coverage) {
     verif::CoverageDb merged;
@@ -265,10 +240,10 @@ CampaignReport CampaignRunner::run(const std::vector<Scenario>& scenarios) const
   }
 
   compute_agreements(report);
-  metrics.agreement_checks.add(report.agreements.size());
-  for (const auto& v : report.agreements) {
-    if (!v.agree) metrics.agreement_failures.inc();
-  }
+  obs::counter<"exec.agreement_checks">().add(report.agreements.size());
+  obs::counter<"exec.agreement_failures">().add(static_cast<std::uint64_t>(
+      std::count_if(report.agreements.begin(), report.agreements.end(),
+                    [](const AgreementVerdict& v) { return !v.agree; })));
 
   // Snapshot after the pool joined (every worker shard folded or visible)
   // and auto-export the span timeline when SYMBAD_OBS_TRACE is set — this

@@ -141,15 +141,8 @@ rtl::Netlist generate_netlist(std::uint64_t seed, SizeTier tier) {
   rtl::Netlist n = random_netlist(
       rng, shape,
       std::string{"gen."} + to_string(tier) + "." + std::to_string(seed));
-  struct GenNetlistObs {
-    obs::Counter netlists, gates;
-  };
-  static const GenNetlistObs counters{
-      obs::Registry::instance().counter("gen.netlists"),
-      obs::Registry::instance().counter("gen.gates"),
-  };
-  counters.netlists.inc();
-  counters.gates.add(n.gate_count());
+  obs::counter<"gen.netlists">().inc();
+  obs::counter<"gen.gates">().add(n.gate_count());
   return n;
 }
 
@@ -235,15 +228,8 @@ GeneratedPlatform generate_platform(std::uint64_t seed, SizeTier tier) {
   p.params.default_bitstream_words = 512u * static_cast<std::uint32_t>(rrng.range(2, 8));
 
   p.traffic = traffic_for(seed);
-  struct GenPlatformObs {
-    obs::Counter platforms, tasks;
-  };
-  static const GenPlatformObs counters{
-      obs::Registry::instance().counter("gen.platforms"),
-      obs::Registry::instance().counter("gen.tasks"),
-  };
-  counters.platforms.inc();
-  counters.tasks.add(static_cast<std::uint64_t>(n_tasks));
+  obs::counter<"gen.platforms">().inc();
+  obs::counter<"gen.tasks">().add(static_cast<std::uint64_t>(n_tasks));
   return p;
 }
 

@@ -503,22 +503,11 @@ namespace {
 // an analysis is never counted twice (and its semantic findings are
 // included in the published totals).
 void publish_obs(const LintReport& r) {
-  struct LintObs {
-    obs::Counter analyses, rules_checked, findings, sat_proofs, sat_conflicts;
-  };
-  auto& registry = obs::Registry::instance();
-  static const LintObs counters{
-      registry.counter("lint.analyses"),
-      registry.counter("lint.rules_checked"),
-      registry.counter("lint.findings"),
-      registry.counter("lint.sat_proofs"),
-      registry.counter("lint.sat_conflicts"),
-  };
-  counters.analyses.inc();
-  counters.rules_checked.add(r.rules_checked);
-  counters.findings.add(r.findings.size());
-  counters.sat_proofs.add(r.sat_proofs);
-  counters.sat_conflicts.add(r.sat_conflicts);
+  obs::counter<"lint.analyses">().inc();
+  obs::counter<"lint.rules_checked">().add(r.rules_checked);
+  obs::counter<"lint.findings">().add(r.findings.size());
+  obs::counter<"lint.sat_proofs">().add(r.sat_proofs);
+  obs::counter<"lint.sat_conflicts">().add(r.sat_conflicts);
 }
 
 }  // namespace

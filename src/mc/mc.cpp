@@ -468,52 +468,24 @@ Counterexample canonical_counterexample(Session& s, int last_frame,
 // single-threaded and the encoding is canonical), so the counters hold the
 // worker-count byte-identity contract.
 void publish_obs(const CheckResult& result) {
-  struct McObs {
-    obs::Counter checks, bounds_used, frames_encoded, sat_conflicts,
-        cex_conflicts, opt_gates_before, opt_gates_after;
-  };
-  auto& registry = obs::Registry::instance();
-  static const McObs counters{
-      registry.counter("mc.checks"),
-      registry.counter("mc.bounds_used"),
-      registry.counter("mc.frames_encoded"),
-      registry.counter("mc.sat_conflicts"),
-      registry.counter("mc.cex_conflicts"),
-      registry.counter("mc.opt_gates_before"),
-      registry.counter("mc.opt_gates_after"),
-  };
-  counters.checks.inc();
-  counters.bounds_used.add(static_cast<std::uint64_t>(
-      result.bound_used < 0 ? 0 : result.bound_used));
-  counters.frames_encoded.add(result.frames_encoded);
-  counters.sat_conflicts.add(result.total_sat_conflicts);
-  counters.cex_conflicts.add(result.cex_conflicts);
-  counters.opt_gates_before.add(result.opt_gates_before);
-  counters.opt_gates_after.add(result.opt_gates_after);
+  obs::counter<"mc.checks">().inc();
+  obs::counter<"mc.bounds_used">().add(
+      static_cast<std::uint64_t>(result.bound_used < 0 ? 0 : result.bound_used));
+  obs::counter<"mc.frames_encoded">().add(result.frames_encoded);
+  obs::counter<"mc.sat_conflicts">().add(result.total_sat_conflicts);
+  obs::counter<"mc.cex_conflicts">().add(result.cex_conflicts);
+  obs::counter<"mc.opt_gates_before">().add(result.opt_gates_before);
+  obs::counter<"mc.opt_gates_after">().add(result.opt_gates_after);
 }
 
 void publish_obs(const MultiCheckResult& result) {
-  struct McPortfolioObs {
-    obs::Counter checks, properties, frames_encoded, sat_conflicts,
-        cone_recomputes, opt_gates_before, opt_gates_after;
-  };
-  auto& registry = obs::Registry::instance();
-  static const McPortfolioObs counters{
-      registry.counter("mc.portfolio.checks"),
-      registry.counter("mc.portfolio.properties"),
-      registry.counter("mc.portfolio.frames_encoded"),
-      registry.counter("mc.portfolio.sat_conflicts"),
-      registry.counter("mc.portfolio.cone_recomputes"),
-      registry.counter("mc.portfolio.opt_gates_before"),
-      registry.counter("mc.portfolio.opt_gates_after"),
-  };
-  counters.checks.inc();
-  counters.properties.add(result.results.size());
-  counters.frames_encoded.add(result.frames_encoded);
-  counters.sat_conflicts.add(result.total_sat_conflicts);
-  counters.cone_recomputes.add(result.cone_recomputes);
-  counters.opt_gates_before.add(result.opt_gates_before);
-  counters.opt_gates_after.add(result.opt_gates_after);
+  obs::counter<"mc.portfolio.checks">().inc();
+  obs::counter<"mc.portfolio.properties">().add(result.results.size());
+  obs::counter<"mc.portfolio.frames_encoded">().add(result.frames_encoded);
+  obs::counter<"mc.portfolio.sat_conflicts">().add(result.total_sat_conflicts);
+  obs::counter<"mc.portfolio.cone_recomputes">().add(result.cone_recomputes);
+  obs::counter<"mc.portfolio.opt_gates_before">().add(result.opt_gates_before);
+  obs::counter<"mc.portfolio.opt_gates_after">().add(result.opt_gates_after);
 }
 
 template <typename ResultT>

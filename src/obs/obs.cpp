@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -140,6 +141,19 @@ void append_double(std::string& out, double v) {
 }
 
 bool is_host_metric(std::string_view name) { return name.starts_with("host."); }
+
+/// A gauge's value as the exporters print it. JSON has no spelling for NaN
+/// or infinity, and a subnormal metric is arithmetic on garbage, so either
+/// is refused by name instead of being written out.
+void append_gauge(std::string& out, const Snapshot::Entry& e) {
+  if (!std::isnormal(e.value) && e.value != 0.0) {
+    std::string value;
+    append_double(value, e.value);
+    throw std::domain_error{"obs: gauge '" + e.name + "' is not a finite normal number (" +
+                            value + ")"};
+  }
+  append_double(out, e.value);
+}
 
 }  // namespace
 
@@ -538,7 +552,7 @@ std::string Snapshot::to_json(bool include_host) const {
     out += "\n  \"";
     append_json_escaped(out, e.name);
     out += "\": ";
-    append_double(out, e.value);
+    append_gauge(out, e);
   }
   out += "\n}}\n";
   return out;
@@ -551,7 +565,7 @@ std::string Snapshot::to_text(bool include_host) const {
     out += e.name;
     out += ' ';
     if (e.is_gauge) {
-      append_double(out, e.value);
+      append_gauge(out, e);
     } else {
       out += std::to_string(e.count);
     }

@@ -36,14 +36,18 @@
 //     timeline exports as Chrome-trace `traceEvents` JSON (load it in
 //     chrome://tracing or Perfetto), keyed by campaign worker id.
 //
-// Registration is cheap but not free (a mutex + name map); call sites keep
-// a `static` handle (see the adoption sites in exec/, mc/, sat/) so the
-// lookup happens once. Counter/gauge capacity is fixed
+// Registration is cheap but not free (a mutex + name map), so a module
+// publishes through `obs::counter<"name">()` / `obs::gauge<"name">()`: one
+// line per metric, the handle cached in a function-local static, so each
+// name is looked up once per process and every later call only adds.
+// `Registry::counter` stays for names built at run time (the per-worker
+// `host.exec.worker<N>.*` metrics). Counter/gauge capacity is fixed
 // (`kMaxCounters`/`kMaxGauges`) so shards never reallocate; exceeding it
 // throws std::length_error at registration, never on the hot path.
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -125,7 +129,9 @@ struct Snapshot {
   /// Stable serialization: `{"counters":{...},"gauges":{...}}`, keys in
   /// sorted order, one metric per line. With include_host = false every
   /// `host.`-prefixed entry is excluded — the deterministic projection the
-  /// worker-count invariance tests compare byte-for-byte.
+  /// worker-count invariance tests compare byte-for-byte. Both exporters
+  /// throw std::domain_error naming the first exported gauge whose value is
+  /// NaN, infinite or subnormal.
   [[nodiscard]] std::string to_json(bool include_host = true) const;
   /// `name value` lines in the same order, for humans and logs.
   [[nodiscard]] std::string to_text(bool include_host = true) const;
@@ -240,6 +246,33 @@ class Registry {
   friend class Gauge;
   friend class SpanScope;
 };
+
+/// A metric name spelled as a string literal in a template argument
+/// (`obs::counter<"mc.checks">()`).
+template <std::size_t N>
+struct MetricName {
+  // NOLINTNEXTLINE(google-explicit-constructor): a literal converts to its name
+  constexpr MetricName(const char (&name)[N]) {
+    for (std::size_t i = 0; i < N; ++i) chars[i] = name[i];
+  }
+  [[nodiscard]] constexpr std::string_view view() const { return {chars, N - 1}; }
+  char chars[N];
+};
+
+/// The counter registered under `name`, registered on the first call and
+/// cached for the life of the process.
+template <MetricName name>
+[[nodiscard]] const Counter& counter() {
+  static const Counter handle = Registry::instance().counter(name.view());
+  return handle;
+}
+
+/// The gauge registered under `name`, cached like counter().
+template <MetricName name>
+[[nodiscard]] const Gauge& gauge() {
+  static const Gauge handle = Registry::instance().gauge(name.view());
+  return handle;
+}
 
 }  // namespace symbad::obs
 

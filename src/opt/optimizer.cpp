@@ -164,29 +164,20 @@ namespace {
 // One batch of adds per pipeline run. Gate counts, candidates and solver conflicts are all
 // deterministic for a fixed input.
 void publish_obs(const OptimizeResult& result) {
-  struct OptObs {
-    obs::Counter runs, gates_before, gates_after, sweep_candidates,
-        sweep_proved, sweep_refuted, sweep_conflicts;
-  };
-  auto& registry = obs::Registry::instance();
-  static const OptObs counters{
-      registry.counter("opt.runs"),
-      registry.counter("opt.gates_before"),
-      registry.counter("opt.gates_after"),
-      registry.counter("opt.sweep_candidates"),
-      registry.counter("opt.sweep_proved"),
-      registry.counter("opt.sweep_refuted"),
-      registry.counter("opt.sweep_conflicts"),
-  };
-  counters.runs.inc();
-  counters.gates_before.add(result.gates_before());
-  counters.gates_after.add(result.gates_after());
+  std::uint64_t candidates = 0, proved = 0, refuted = 0, conflicts = 0;
   for (const auto& p : result.passes) {
-    counters.sweep_candidates.add(p.sweep_candidates);
-    counters.sweep_proved.add(p.sweep_proved);
-    counters.sweep_refuted.add(p.sweep_refuted);
-    counters.sweep_conflicts.add(p.sweep_conflicts);
+    candidates += p.sweep_candidates;
+    proved += p.sweep_proved;
+    refuted += p.sweep_refuted;
+    conflicts += p.sweep_conflicts;
   }
+  obs::counter<"opt.runs">().inc();
+  obs::counter<"opt.gates_before">().add(result.gates_before());
+  obs::counter<"opt.gates_after">().add(result.gates_after());
+  obs::counter<"opt.sweep_candidates">().add(candidates);
+  obs::counter<"opt.sweep_proved">().add(proved);
+  obs::counter<"opt.sweep_refuted">().add(refuted);
+  obs::counter<"opt.sweep_conflicts">().add(conflicts);
 }
 
 }  // namespace

@@ -196,41 +196,19 @@ PccReport check_property_coverage(const rtl::Netlist& netlist,
   // Registry bridge for the completed campaign — one batch of adds per
   // report, all deterministic (fault order, sampling, grading verdicts and
   // opt/encode footprints are seed-fixed).
-  struct PccObs {
-    obs::Counter campaigns, faults_total, detected, detected_by_simulation,
-        detected_by_bmc, lint_pruned, encoded_vars, encoded_clauses,
-        opt_gates_before, opt_gates_after, incremental_reopts, full_rebuilds,
-        baseline_sweep_proofs;
-  };
-  auto& registry = obs::Registry::instance();
-  static const PccObs counters{
-      registry.counter("pcc.campaigns"),
-      registry.counter("pcc.faults_total"),
-      registry.counter("pcc.detected"),
-      registry.counter("pcc.detected_by_simulation"),
-      registry.counter("pcc.detected_by_bmc"),
-      registry.counter("pcc.lint_pruned"),
-      registry.counter("pcc.encoded_vars"),
-      registry.counter("pcc.encoded_clauses"),
-      registry.counter("pcc.opt_gates_before"),
-      registry.counter("pcc.opt_gates_after"),
-      registry.counter("pcc.incremental_reopts"),
-      registry.counter("pcc.full_rebuilds"),
-      registry.counter("pcc.baseline_sweep_proofs"),
-  };
-  counters.campaigns.inc();
-  counters.faults_total.add(report.total_faults);
-  counters.detected.add(report.detected);
-  counters.detected_by_simulation.add(report.detected_by_simulation);
-  counters.detected_by_bmc.add(report.detected_by_bmc);
-  counters.lint_pruned.add(report.lint_pruned_faults);
-  counters.encoded_vars.add(report.encoded_vars);
-  counters.encoded_clauses.add(report.encoded_clauses);
-  counters.opt_gates_before.add(report.opt_gates_before);
-  counters.opt_gates_after.add(report.opt_gates_after);
-  counters.incremental_reopts.add(report.incremental_reopts);
-  counters.full_rebuilds.add(report.full_rebuilds);
-  counters.baseline_sweep_proofs.add(report.baseline_sweep_proofs);
+  obs::counter<"pcc.campaigns">().inc();
+  obs::counter<"pcc.faults_total">().add(report.total_faults);
+  obs::counter<"pcc.detected">().add(report.detected);
+  obs::counter<"pcc.detected_by_simulation">().add(report.detected_by_simulation);
+  obs::counter<"pcc.detected_by_bmc">().add(report.detected_by_bmc);
+  obs::counter<"pcc.lint_pruned">().add(report.lint_pruned_faults);
+  obs::counter<"pcc.encoded_vars">().add(report.encoded_vars);
+  obs::counter<"pcc.encoded_clauses">().add(report.encoded_clauses);
+  obs::counter<"pcc.opt_gates_before">().add(report.opt_gates_before);
+  obs::counter<"pcc.opt_gates_after">().add(report.opt_gates_after);
+  obs::counter<"pcc.incremental_reopts">().add(report.incremental_reopts);
+  obs::counter<"pcc.full_rebuilds">().add(report.full_rebuilds);
+  obs::counter<"pcc.baseline_sweep_proofs">().add(report.baseline_sweep_proofs);
   return report;
 }
 

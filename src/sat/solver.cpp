@@ -43,45 +43,16 @@ Solver::Statistics operator-(const Solver::Statistics& a, const Solver::Statisti
 // registry totals equal the sum of every solver's work in the process. The
 // search loop itself keeps counting into plain struct fields — the bridge
 // adds one batch of Counter::add calls per solve(), not per propagation.
-struct SatObs {
-  obs::Counter solves;
-  obs::Counter decisions;
-  obs::Counter propagations;
-  obs::Counter conflicts;
-  obs::Counter restarts;
-  obs::Counter learned_clauses;
-  obs::Counter db_reductions;
-  obs::Counter learned_removed;
-  obs::Counter compactions;
-};
-
-const SatObs& sat_obs() {
-  auto& registry = obs::Registry::instance();
-  static const SatObs counters{
-      registry.counter("sat.solves"),
-      registry.counter("sat.decisions"),
-      registry.counter("sat.propagations"),
-      registry.counter("sat.conflicts"),
-      registry.counter("sat.restarts"),
-      registry.counter("sat.learned_clauses"),
-      registry.counter("sat.db_reductions"),
-      registry.counter("sat.learned_removed"),
-      registry.counter("sat.compactions"),
-  };
-  return counters;
-}
-
 void publish_solve_delta(const Solver::Statistics& delta) {
-  const SatObs& counters = sat_obs();
-  counters.solves.inc();
-  counters.decisions.add(delta.decisions);
-  counters.propagations.add(delta.propagations);
-  counters.conflicts.add(delta.conflicts);
-  counters.restarts.add(delta.restarts);
-  counters.learned_clauses.add(delta.learned_clauses);
-  counters.db_reductions.add(delta.db_reductions);
-  counters.learned_removed.add(delta.learned_removed);
-  counters.compactions.add(delta.arena_compactions);
+  obs::counter<"sat.solves">().inc();
+  obs::counter<"sat.decisions">().add(delta.decisions);
+  obs::counter<"sat.propagations">().add(delta.propagations);
+  obs::counter<"sat.conflicts">().add(delta.conflicts);
+  obs::counter<"sat.restarts">().add(delta.restarts);
+  obs::counter<"sat.learned_clauses">().add(delta.learned_clauses);
+  obs::counter<"sat.db_reductions">().add(delta.db_reductions);
+  obs::counter<"sat.learned_removed">().add(delta.learned_removed);
+  obs::counter<"sat.compactions">().add(delta.arena_compactions);
 }
 
 // ----------------------------------------------------------------- arena

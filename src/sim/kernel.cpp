@@ -9,28 +9,6 @@
 
 namespace symbad::sim {
 
-namespace {
-
-// Registered once; run() bridges its per-invocation deltas here, so the
-// scheduling loop itself stays untouched (no per-callback instrumentation
-// on the allocation-free hot path — the counts already exist as members).
-struct KernelObs {
-  obs::Counter runs;
-  obs::Counter callbacks;
-  obs::Counter delta_cycles;
-};
-
-const KernelObs& kernel_obs() {
-  static const KernelObs counters{
-      obs::Registry::instance().counter("sim.kernel.runs"),
-      obs::Registry::instance().counter("sim.kernel.callbacks"),
-      obs::Registry::instance().counter("sim.kernel.delta_cycles"),
-  };
-  return counters;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- Time
 
 std::string Time::to_string() const {
@@ -234,11 +212,12 @@ RunResult Kernel::run(Time limit) {
   running_ = false;
   // Deterministic event counts, summed registry-side across every kernel
   // in the process — worker-count invariant because each scenario's kernel
-  // does identical work regardless of which worker hosts it.
-  const KernelObs& counters = kernel_obs();
-  counters.runs.inc();
-  counters.callbacks.add(callbacks_executed_ - callbacks_before);
-  counters.delta_cycles.add(delta_cycles_ - deltas_before);
+  // does identical work regardless of which worker hosts it. Bridged once
+  // per run(), so the scheduling loop itself stays uninstrumented (the
+  // counts already exist as members).
+  obs::counter<"sim.kernel.runs">().inc();
+  obs::counter<"sim.kernel.callbacks">().add(callbacks_executed_ - callbacks_before);
+  obs::counter<"sim.kernel.delta_cycles">().add(delta_cycles_ - deltas_before);
   if (pending_error_) {
     auto error = std::exchange(pending_error_, nullptr);
     std::rethrow_exception(error);

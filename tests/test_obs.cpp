@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -230,12 +232,15 @@ TEST(ObsRegistry, CounterRegistrationIsIdempotentAndOrdered) {
   const auto before = registry.counters_registered();
   const auto c1 = registry.counter("test.obs.alpha");
   const auto c2 = registry.counter("test.obs.alpha");
+  const obs::Counter& c3 = obs::counter<"test.obs.alpha">();
+  EXPECT_EQ(&obs::counter<"test.obs.alpha">(), &c3);  // one cached handle
   EXPECT_EQ(registry.counters_registered(), before + 1);
 
   const auto base = registry.snapshot().counter("test.obs.alpha");
   c1.add(3);
   c2.inc();
-  EXPECT_EQ(registry.snapshot().counter("test.obs.alpha"), base + 4);
+  c3.add(5);
+  EXPECT_EQ(registry.snapshot().counter("test.obs.alpha"), base + 9);
 }
 
 TEST(ObsRegistry, DefaultConstructedHandlesAreNoOps) {
@@ -296,6 +301,31 @@ TEST(ObsRegistry, SnapshotIsNameSortedAndFiltersHostNamespace) {
   const auto text = snap.to_text(/*include_host=*/false);
   EXPECT_NE(text.find("test.obs.aa "), std::string::npos);
   EXPECT_EQ(text.find("host."), std::string::npos);
+}
+
+TEST(ObsRegistry, ExportersRefuseNonFiniteAndSubnormalGauges) {
+  const LevelGuard guard;
+  auto& registry = obs::Registry::instance();
+  registry.set_level(1);  // Gauge::set is a no-op at level 0
+  const auto g = registry.gauge("test.obs.nonfinite");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::denorm_min()}) {
+    g.set(bad);
+    const auto snap = registry.snapshot();
+    for (const bool include_host : {true, false}) {
+      try {
+        (void)snap.to_json(include_host);
+        ADD_FAILURE() << "to_json accepted " << bad;
+      } catch (const std::domain_error& e) {
+        EXPECT_NE(std::string{e.what()}.find("test.obs.nonfinite"), std::string::npos);
+      }
+      EXPECT_THROW((void)snap.to_text(include_host), std::domain_error) << bad;
+    }
+  }
+  g.set(0.0);  // restore: later tests serialize the whole registry
+  EXPECT_TRUE(JsonChecker{registry.to_json()}.valid());
 }
 
 TEST(ObsRegistry, LevelZeroDisablesCounting) {
@@ -419,13 +449,17 @@ TEST(ObsAlloc, CounterHotPathIsAllocationFree) {
   registry.set_level(1);
   const auto c = registry.counter("test.obs.hotpath");
   c.inc();  // warm-up: thread-shard registration happens off the armed region
+  obs::counter<"test.obs.hotpath">().inc();  // first call registers
 
   const auto base = registry.snapshot().counter("test.obs.hotpath");
   arm_allocation_counter();
-  for (int i = 0; i < 10'000; ++i) c.add(1);
+  for (int i = 0; i < 10'000; ++i) {
+    c.add(1);
+    obs::counter<"test.obs.hotpath">().add(1);
+  }
   const auto allocations = disarm_allocation_counter();
   EXPECT_EQ(allocations, 0u);
-  EXPECT_EQ(registry.snapshot().counter("test.obs.hotpath"), base + 10'000);
+  EXPECT_EQ(registry.snapshot().counter("test.obs.hotpath"), base + 20'000);
 }
 
 // ---------------------------------------------------------- chrome trace
